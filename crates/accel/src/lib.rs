@@ -16,8 +16,8 @@
 //!
 //! * [`config`] — [`AccelConfig`]: compute units and the manifest cost
 //!   table (device clock, launch overhead, bus transfer costs);
-//! * [`machine`] — [`Accel`]: device arrays, kernel launches staged
-//!   through the shared PEAC simulator, device-side shifts/reductions,
+//! * [`machine`] — [`Accel`]: device arrays, kernel launches run in
+//!   place by the shared PEAC kernel, device-side shifts/reductions,
 //!   and the transfer ledger ([`AccelStats`]) in which — unlike the
 //!   CM/2's free front-end peek — **every** host read or write of
 //!   device memory is a charged DMA transfer.

@@ -12,8 +12,8 @@
 //! transfers, and the differential suite runs with those costs on the
 //! clock.
 //!
-//! Data is exact and shared with the CM/2 machine model: kernels stage
-//! device arrays through the PEAC simulator (`f90y_peac::sim`), shifts
+//! Data is exact and shared with the CM/2 machine model: kernels run
+//! through the same in-place dispatch (`f90y_cm2::dispatch`), shifts
 //! use the reference [`f90y_cm2::runtime::shift_data`], and reductions
 //! fold in canonical element order — so finals are bit-identical across
 //! all three targets by construction, which `tests/target_differential`
@@ -23,12 +23,12 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use f90y_backend::machine::Machine;
+use f90y_cm2::dispatch::{dispatch_in_place, ArrayStore};
 use f90y_cm2::runtime::shift_data;
 use f90y_cm2::{Cm2Error, ReduceOp};
 use f90y_obs::trace::{Actor, ClockDomain, Trace, TraceEvent as FlightEvent};
-use f90y_peac::costs::{body_cycles, MEM_CYCLES, VOP_CYCLES};
-use f90y_peac::isa::{Instr, Routine, VLEN};
-use f90y_peac::sim::{run_routine, NodeMemory};
+use f90y_peac::costs::{MEM_CYCLES, VOP_CYCLES};
+use f90y_peac::isa::{Routine, VLEN};
 
 use crate::config::AccelConfig;
 
@@ -265,9 +265,10 @@ impl Accel {
         self.flight_phase(Actor::Host, "d2h", t0);
     }
 
-    /// Launch a kernel: stage the device arrays through the PEAC
-    /// simulator (the exact arithmetic every target executes), charge
-    /// launch overhead plus the per-unit loop cost.
+    /// Launch a kernel: run the PEAC routine in place over the device
+    /// arrays (the exact arithmetic, and the exact data plane, every
+    /// target executes), charge launch overhead plus the per-unit loop
+    /// cost.
     ///
     /// # Errors
     ///
@@ -279,59 +280,20 @@ impl Accel {
         ptr_args: &[DeviceId],
         scalar_args: &[f64],
     ) -> Result<(), Cm2Error> {
-        if ptr_args.is_empty() {
-            return Err(Cm2Error::Runtime(
-                "dispatch needs at least one array argument".into(),
-            ));
-        }
-        let total = self.array(ptr_args[0])?.data.len();
-        for &id in ptr_args {
-            if self.array(id)?.data.len() != total {
-                return Err(Cm2Error::Runtime(format!(
-                    "dispatch arguments disagree on element count \
-                     ({} vs {total})",
-                    self.array(id)?.data.len()
-                )));
-            }
-        }
-        // Stage exactly as the CM/2 does: an array passed through
-        // several pointer arguments shares one buffer, as it shares one
-        // region of device memory.
-        let mut mem = NodeMemory::new();
-        let mut base_of: HashMap<DeviceId, usize> = HashMap::new();
-        let mut bases = Vec::with_capacity(ptr_args.len());
-        for &id in ptr_args {
-            let base = match base_of.get(&id) {
-                Some(&b) => b,
-                None => {
-                    let data = self.array(id)?.data.clone();
-                    let b = mem.alloc(&data);
-                    base_of.insert(id, b);
-                    b
-                }
-            };
-            bases.push(base);
-        }
-        run_routine(routine, &mut mem, &bases, scalar_args, total)?;
-        for (&id, &base) in base_of.iter() {
-            let out = mem.read(base, total);
-            self.array_mut(id)?.data.copy_from_slice(&out);
-        }
-
+        let total = dispatch_in_place(self, routine, ptr_args, scalar_args)?;
+        let kernel = routine.kernel();
         let iters = self.iterations(total);
         let nargs = (routine.nargs_ptr() + routine.nargs_scalar()) as u64;
-        let phase = format!("kernel.{}", routine.name());
         let t0 = self.flight_clock();
         {
             let s = &mut self.state.borrow_mut().stats;
             s.launch_cycles += self.config.costs.kernel_launch_cycles
                 + self.config.costs.launch_per_arg_cycles * nargs;
-            s.kernel_cycles += body_cycles(routine.body()) * iters;
+            s.kernel_cycles += kernel.body_cycles() * iters;
             s.kernel_launches += 1;
-            let flops_per_elem: u64 = routine.body().iter().map(Instr::flops_per_elem).sum();
-            s.flops += flops_per_elem * total as u64;
+            s.flops += kernel.flops_per_elem() * total as u64;
         }
-        self.flight_phase(Actor::Machine, &phase, t0);
+        self.flight_phase(Actor::Machine, kernel.kernel_label(), t0);
         Ok(())
     }
 
@@ -371,6 +333,14 @@ impl Accel {
         }
         self.flight_phase(Actor::Machine, "shift", t0);
         Ok(id)
+    }
+}
+
+impl ArrayStore for Accel {
+    type Id = DeviceId;
+
+    fn data_mut(&mut self, id: DeviceId) -> Result<&mut Vec<f64>, Cm2Error> {
+        Ok(&mut self.array_mut(id)?.data)
     }
 }
 
@@ -557,7 +527,7 @@ impl Machine for Accel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use f90y_peac::isa::{Mem, Operand, VReg};
+    use f90y_peac::isa::{Instr, Mem, Operand, VReg};
 
     fn device() -> Accel {
         Accel::new(AccelConfig::new(16))

@@ -16,6 +16,8 @@
 //!   PEs and the virtual-subgrid geometry;
 //! * [`costs`] — dispatch, grid-communication, router and reduction cost
 //!   models with their justifications;
+//! * [`dispatch`] — the in-place PEAC dispatch data plane (argument
+//!   validation, argument→slab mapping) shared with the other machines;
 //! * [`machine`] — CM arrays in (simulated) CM memory plus the machine
 //!   state and cycle/flop accounting;
 //! * [`runtime`] — the CM runtime system (CMRT) surface the compiled
@@ -30,6 +32,7 @@
 
 pub mod config;
 pub mod costs;
+pub mod dispatch;
 pub mod layout;
 pub mod machine;
 pub mod runtime;

@@ -25,12 +25,6 @@ pub(crate) struct CmArray {
     pub data: Vec<f64>,
 }
 
-impl CmArray {
-    pub(crate) fn len(&self) -> usize {
-        self.data.len()
-    }
-}
-
 /// Cycle, flop and call accounting for one simulated run.
 ///
 /// The machine executes in SIMD lockstep, so `node_cycles` — per-node

@@ -8,11 +8,10 @@
 //! [`crate::costs`] attached.
 
 use f90y_obs::trace::Actor;
-use f90y_peac::costs::body_cycles;
 use f90y_peac::isa::Routine;
-use f90y_peac::sim::{run_routine, NodeMemory};
 
 use crate::costs;
+use crate::dispatch::{dispatch_in_place, ArrayStore};
 use crate::machine::{ArrayId, Cm2};
 use crate::Cm2Error;
 
@@ -27,13 +26,21 @@ pub enum ReduceOp {
     Min,
 }
 
+impl ArrayStore for Cm2 {
+    type Id = ArrayId;
+
+    fn data_mut(&mut self, id: ArrayId) -> Result<&mut Vec<f64>, Cm2Error> {
+        Ok(&mut self.array_mut(id)?.data)
+    }
+}
+
 impl Cm2 {
     /// Dispatch a PEAC routine elementwise over the given CM arrays.
     ///
     /// All pointer arguments must have equal element counts (they share
-    /// one shape and one blockwise layout). Every lane executes; results
-    /// land back in CM memory. Charges dispatch overhead plus the
-    /// per-node virtual-subgrid loop cost.
+    /// one shape and one blockwise layout). Every element executes, in
+    /// place in CM memory ([`crate::dispatch`]). Charges dispatch
+    /// overhead plus the per-node virtual-subgrid loop cost.
     ///
     /// # Errors
     ///
@@ -44,78 +51,33 @@ impl Cm2 {
         ptr_args: &[ArrayId],
         scalar_args: &[f64],
     ) -> Result<(), Cm2Error> {
-        if ptr_args.is_empty() {
-            return Err(Cm2Error::Runtime(
-                "dispatch needs at least one array argument".into(),
-            ));
-        }
-        let total = self.array(ptr_args[0])?.len();
-        for &id in ptr_args {
-            if self.array(id)?.len() != total {
-                return Err(Cm2Error::Runtime(format!(
-                    "dispatch arguments disagree on element count \
-                     ({} vs {total})",
-                    self.array(id)?.len()
-                )));
-            }
-        }
-        // Stage the blocks into a node memory image. Blockwise layout
-        // tiles the row-major element space contiguously, and the body
-        // is elementwise, so running the subgrid loop over the whole
-        // space computes exactly what the P lockstep nodes compute.
-        // An array passed through several pointer arguments (separate
-        // load and store streams of one variable) shares one buffer,
-        // just as it shares one region of real CM memory.
-        let mut mem = NodeMemory::new();
-        let mut base_of: std::collections::HashMap<ArrayId, usize> =
-            std::collections::HashMap::new();
-        let mut bases = Vec::with_capacity(ptr_args.len());
-        for &id in ptr_args {
-            let base = match base_of.get(&id) {
-                Some(&b) => b,
-                None => {
-                    let data = self.array(id)?.data.clone();
-                    let b = mem.alloc(&data);
-                    base_of.insert(id, b);
-                    b
-                }
-            };
-            bases.push(base);
-        }
-        run_routine(routine, &mut mem, &bases, scalar_args, total)?;
-        for (&id, &base) in base_of.iter() {
-            let out = mem.read(base, total);
-            self.array_mut(id)?.data.copy_from_slice(&out);
-        }
+        let total = dispatch_in_place(self, routine, ptr_args, scalar_args)?;
+        let kernel = routine.kernel();
 
         // Time: per-node subgrid iterations at the configured
         // multipliers; flops: machine-wide over valid elements.
         let layout = self.layout(ptr_args[0])?;
         let iters = layout.iterations_per_node();
-        let body = body_cycles(routine.body());
+        let body = kernel.body_cycles();
         let overhead = costs::DISPATCH_BASE_CYCLES
             + costs::DISPATCH_PER_ARG_CYCLES
                 * (routine.nargs_ptr() + routine.nargs_scalar()) as u64;
-        let phase = format!("dispatch.{}", routine.name());
+        let phase = kernel.dispatch_label();
         let t0 = self.flight_clock();
         self.charge_dispatch_overhead(
-            &phase,
+            phase,
             (overhead as f64 * self.config.dispatch_multiplier) as u64,
         );
         let compute = (body as f64 * iters as f64 * self.config.compute_multiplier) as u64;
-        self.charge_compute(&phase, compute);
-        self.flight_phase(Actor::Machine, &phase, t0);
+        self.charge_compute(phase, compute);
+        self.flight_phase(Actor::Machine, phase, t0);
         if let Some(map) = &mut self.opcodes {
             map.entry(routine.name().to_string())
                 .or_default()
                 .record_scaled(routine.body(), iters, compute);
         }
         self.overlap_pool = self.overlap_pool.saturating_add(compute);
-        let flops_per_elem: u64 = routine
-            .body()
-            .iter()
-            .map(f90y_peac::isa::Instr::flops_per_elem)
-            .sum();
+        let flops_per_elem = kernel.flops_per_elem();
         self.stats.flops += flops_per_elem * total as u64;
         self.stats.dispatches += 1;
         if self.trace.is_some() {
@@ -158,21 +120,7 @@ impl Cm2 {
     ///
     /// Fails on stale handles or a bad axis.
     pub fn cshift(&mut self, src: ArrayId, axis: usize, shift: i64) -> Result<ArrayId, Cm2Error> {
-        let (dims, lower, shifted) = {
-            let arr = self.array(src)?;
-            if axis >= arr.dims.len() {
-                return Err(Cm2Error::Runtime(format!(
-                    "cshift axis {axis} out of range for rank {}",
-                    arr.dims.len()
-                )));
-            }
-            let shifted = shift_data(&arr.data, &arr.dims, axis, shift, None);
-            (arr.dims.clone(), arr.lower.clone(), shifted)
-        };
-        let id = self.alloc_with_bounds(&dims, &lower);
-        self.array_mut(id)?.data = shifted;
-        self.charge_grid_comm(src, axis, shift)?;
-        Ok(id)
+        self.grid_shift("cshift", src, axis, shift, None)
     }
 
     /// Grid end-off shift (Fortran `EOSHIFT`): vacated positions take
@@ -188,17 +136,26 @@ impl Cm2 {
         shift: i64,
         boundary: f64,
     ) -> Result<ArrayId, Cm2Error> {
-        let (dims, lower, shifted) = {
-            let arr = self.array(src)?;
-            if axis >= arr.dims.len() {
-                return Err(Cm2Error::Runtime(format!(
-                    "eoshift axis {axis} out of range for rank {}",
-                    arr.dims.len()
-                )));
-            }
-            let shifted = shift_data(&arr.data, &arr.dims, axis, shift, Some(boundary));
-            (arr.dims.clone(), arr.lower.clone(), shifted)
-        };
+        self.grid_shift("eoshift", src, axis, shift, Some(boundary))
+    }
+
+    fn grid_shift(
+        &mut self,
+        kind: &str,
+        src: ArrayId,
+        axis: usize,
+        shift: i64,
+        boundary: Option<f64>,
+    ) -> Result<ArrayId, Cm2Error> {
+        let arr = self.array(src)?;
+        if axis >= arr.dims.len() {
+            return Err(Cm2Error::Runtime(format!(
+                "{kind} axis {axis} out of range for rank {}",
+                arr.dims.len()
+            )));
+        }
+        let shifted = shift_data(&arr.data, &arr.dims, axis, shift, boundary);
+        let (dims, lower) = (arr.dims.clone(), arr.lower.clone());
         let id = self.alloc_with_bounds(&dims, &lower);
         self.array_mut(id)?.data = shifted;
         self.charge_grid_comm(src, axis, shift)?;
@@ -390,6 +347,49 @@ pub fn shift_data(
     boundary: Option<f64>,
 ) -> Vec<f64> {
     let inner: usize = dims[axis + 1..].iter().product();
+    let n = dims[axis] as i64;
+    // One plane per outer index: `extent` rows of `inner` contiguous
+    // elements. Destination row `a` takes source row `a + shift`, so
+    // within a plane whole runs of rows move as one copy.
+    let plane = dims[axis] * inner;
+    let mut out = Vec::with_capacity(data.len());
+    if plane == 0 {
+        return out;
+    }
+    let row = |r: i64| r as usize * inner;
+    for src in data.chunks_exact(plane) {
+        match boundary {
+            None => {
+                let (wrapped, straight) = src.split_at(row(shift.rem_euclid(n)));
+                out.extend_from_slice(straight);
+                out.extend_from_slice(wrapped);
+            }
+            Some(b) => {
+                // Destination rows `lo..hi` have a source row in range;
+                // the rows before and after them are vacated.
+                let lo = shift.saturating_neg().clamp(0, n);
+                let hi = n.saturating_sub(shift).clamp(lo, n);
+                out.resize(out.len() + row(lo), b);
+                if lo < hi {
+                    out.extend_from_slice(&src[row(lo + shift)..row(hi + shift)]);
+                }
+                out.resize(out.len() + row(n - hi), b);
+            }
+        }
+    }
+    out
+}
+
+/// The per-element formula [`shift_data`] replaced, kept as its oracle.
+#[cfg(test)]
+fn shift_data_per_element(
+    data: &[f64],
+    dims: &[usize],
+    axis: usize,
+    shift: i64,
+    boundary: Option<f64>,
+) -> Vec<f64> {
+    let inner: usize = dims[axis + 1..].iter().product();
     let extent = dims[axis];
     let outer: usize = dims[..axis].iter().product();
     let n = extent as i64;
@@ -553,6 +553,48 @@ mod tests {
         let a = cm.alloc_from(&[3], vec![1.0, 2.0, 3.0]);
         let s = cm.eoshift(a, 0, 5, 0.25).unwrap();
         assert_eq!(cm.read(s).unwrap(), vec![0.25, 0.25, 0.25]);
+    }
+
+    proptest::proptest! {
+        /// The run-copying `shift_data` is the per-element formula, bit
+        /// for bit: any rank-1..3 shape, any axis, shifts well past the
+        /// extent, both boundary modes.
+        #[test]
+        fn shift_data_matches_the_per_element_formula(
+            dims in proptest::collection::vec(1usize..6, 1..4),
+            axis_pick in 0usize..3,
+            shift in -20i64..20,
+            end_off in proptest::any::<bool>(),
+            fill in -9.0f64..9.0,
+        ) {
+            let axis = axis_pick % dims.len();
+            let boundary = end_off.then_some(fill);
+            let total: usize = dims.iter().product();
+            // Distinct values with a NaN and a -0.0 among them: a move
+            // must not canonicalise anything.
+            let mut data: Vec<f64> = (0..total).map(|i| (i as f64 + 0.5) * -1.25).collect();
+            data[0] = f64::NAN;
+            data[total - 1] = -0.0;
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+            proptest::prop_assert_eq!(
+                bits(shift_data(&data, &dims, axis, shift, boundary)),
+                bits(shift_data_per_element(&data, &dims, axis, shift, boundary))
+            );
+        }
+    }
+
+    #[test]
+    fn shift_data_takes_empty_axes_and_extreme_shifts() {
+        assert!(shift_data(&[], &[3, 0, 2], 1, 1, None).is_empty());
+        assert!(shift_data(&[], &[0], 0, -1, Some(1.0)).is_empty());
+        for shift in [i64::MIN, i64::MAX] {
+            assert_eq!(shift_data(&[1.0, 2.0], &[2], 0, shift, Some(7.0)), [7.0; 2]);
+        }
+        // i64::MAX ≡ 1 (mod 3): a rotation by one.
+        assert_eq!(
+            shift_data(&[1.0, 2.0, 3.0], &[3], 0, i64::MAX, None),
+            [2.0, 3.0, 1.0]
+        );
     }
 
     #[test]

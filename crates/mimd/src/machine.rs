@@ -7,9 +7,9 @@
 //!
 //! * **dispatch** — the control processor broadcasts the routine and
 //!   its arguments down a binomial tree, then every node runs the PEAC
-//!   routine over its own slab through `f90y-peac`'s executor. No data
-//!   moves: arrays of one shape shard identically, so each node already
-//!   holds matching slabs of every argument.
+//!   routine in place over its own shards through `f90y-peac`'s slab
+//!   kernel. No data moves: arrays of one shape shard identically, so
+//!   each node already holds matching slabs of every argument.
 //! * **grid shifts** — a halo exchange. Rows a node needs but does not
 //!   own arrive as one message per (owner → needer) pair; shifts along
 //!   inner axes never cross a shard boundary and stay message-free.
@@ -34,8 +34,11 @@
 //! The compute phase of every superstep — per-node routine execution
 //! in dispatches, slab construction in shifts — fans out over
 //! [`MimdConfig::host_threads`] host workers via [`crate::pool`].
-//! Between barriers the nodes share nothing mutable; results merge at
-//! the barrier in node-index order and messages are sequenced
+//! Between barriers the nodes share nothing mutable (a dispatch hands
+//! each node `&mut` to its own shards and runs in place); results merge
+//! at the barrier in node-index order — of several faulting nodes the
+//! lowest-numbered one's error is the dispatch's, and the arrays of a
+//! failed dispatch are unspecified — and messages are sequenced
 //! canonically by `(src, dst)` before delivery (see [`crate::net`]),
 //! so the thread count changes wall-clock time only: finals,
 //! telemetry and trace digests are bit-identical at any value,
@@ -60,12 +63,11 @@
 use std::collections::{HashMap, HashSet};
 
 use f90y_backend::Machine;
+use f90y_cm2::dispatch::{self, SlabArgs};
 use f90y_cm2::runtime::{shift_data, ReduceOp};
 use f90y_cm2::Cm2Error;
 use f90y_obs::trace::{Actor, ClockDomain, Trace, TraceEvent};
 use f90y_peac::isa::Instr;
-use f90y_peac::sim::NodeMemory;
-use f90y_peac::threaded::CompiledBlock;
 use f90y_peac::Routine;
 
 use crate::checkpoint::{Checkpoint, CheckpointEntry};
@@ -639,24 +641,13 @@ impl MimdMachine {
         ptr_args: &[MimdId],
         scalar_args: &[f64],
     ) -> Result<(), Cm2Error> {
-        if ptr_args.is_empty() {
-            return Err(Cm2Error::Runtime(
-                "dispatch needs at least one array argument".into(),
-            ));
-        }
         // Stricter than the SIMD machine's element-count check: shards
         // only align when the *shapes* agree, so a dispatch mixing
         // dims would hand nodes mismatched slabs.
-        let dims = self.array(ptr_args[0])?.dims.clone();
-        for &id in ptr_args {
-            let d = &self.array(id)?.dims;
-            if *d != dims {
-                return Err(Cm2Error::Runtime(format!(
-                    "dispatch arguments disagree on shape ({d:?} vs {dims:?}): \
-                     shards would not align across nodes"
-                )));
-            }
-        }
+        let dims_of = |id| Ok(&self.array(id)?.dims);
+        let why = ": shards would not align across nodes";
+        let dims = dispatch::common(ptr_args, dims_of, "shape", why)?.clone();
+        let args = SlabArgs::new(ptr_args);
         let nodes = self.config.nodes;
         let map = ShardMap::new(dims.first().copied().unwrap_or(1), nodes);
         let inner: usize = dims.iter().skip(1).product();
@@ -671,63 +662,57 @@ impl MimdMachine {
             as f64
             / self.config.sparc_clock_hz;
 
-        // Every node runs the routine over its slab — concurrently on
-        // the host pool when `host_threads > 1`. The routine compiles
-        // once to threaded code and every worker shares the block; a
-        // node only reads the arrays and writes its own private
-        // memory, so the compute phase is embarrassingly parallel and
-        // the barrier merge below (node-index order, first error wins)
-        // makes the thread count unobservable. An array passed through
-        // several pointer arguments shares one node buffer, exactly as
-        // on the SIMD machine.
-        let block = CompiledBlock::compile(routine);
+        // Every node runs the routine in place over its own shards —
+        // concurrently on the host pool when `host_threads > 1`. All
+        // workers share the routine's one kernel; node `k` is handed
+        // `&mut` to shard `k` of each distinct argument array and
+        // nothing else, so the thread count is unobservable. The arrays
+        // leave the table while their shards are lent out and are back
+        // before anything can return early.
+        let kernel = routine.kernel();
         let beats = Self::beats_per_elem(routine);
-        let mut unique: Vec<MimdId> = Vec::new();
-        for &id in ptr_args {
-            if !unique.contains(&id) {
-                unique.push(id);
-            }
-        }
-        let arg_slots: Vec<usize> = ptr_args
-            .iter()
-            .map(|id| unique.iter().position(|u| u == id).expect("just inserted"))
-            .collect();
-        let arrays = &self.arrays;
         let vus_per_node = self.config.vus_per_node as f64;
         let vu_clock_hz = self.config.vu_clock_hz;
-        let results = pool::run_indexed(
+        let mut lent: Vec<MimdArray> = args
+            .ids
+            .iter()
+            .map(|id| self.arrays.remove(&id.0).expect("checked above"))
+            .collect();
+        let mut shards: Vec<_> = lent.iter_mut().map(|a| a.shards.iter_mut()).collect();
+        let mut node_slabs: Vec<Vec<&mut [f64]>> = (0..nodes)
+            .map(|_| {
+                let own = shards
+                    .iter_mut()
+                    .map(|s| s.next().expect("a shard per node"));
+                own.map(Vec::as_mut_slice).collect()
+            })
+            .collect();
+        let results = pool::run_indexed_mut(
             self.config.host_threads,
-            nodes,
-            |k| -> Result<(Vec<Vec<f64>>, f64), Cm2Error> {
+            &mut node_slabs,
+            |k, slabs| -> Result<f64, Cm2Error> {
                 let elems = map.rows_of(k) * inner;
                 if elems == 0 {
-                    return Ok((Vec::new(), 0.0));
+                    return Ok(0.0);
                 }
-                let mut mem = NodeMemory::new();
-                let bases: Vec<usize> = unique
-                    .iter()
-                    .map(|id| mem.alloc(&arrays.get(&id.0).expect("checked above").shards[k]))
-                    .collect();
-                let arg_bases: Vec<usize> = arg_slots.iter().map(|&s| bases[s]).collect();
-                block.run(&mut mem, &arg_bases, scalar_args, elems)?;
-                let outputs: Vec<Vec<f64>> = bases.iter().map(|&b| mem.read(b, elems)).collect();
-                Ok((outputs, beats * (elems as f64 / vus_per_node) / vu_clock_hz))
+                kernel.run_slabs(slabs, &args.slab_of_arg, scalar_args, elems)?;
+                Ok(beats * (elems as f64 / vus_per_node) / vu_clock_hz)
             },
         );
-        let mut busy = vec![0.0; nodes];
-        for (k, result) in results.into_iter().enumerate() {
-            let (outputs, b) = result?;
-            busy[k] = b;
-            for (id, out) in unique.iter().zip(outputs) {
-                self.arrays.get_mut(&id.0).expect("checked above").shards[k].copy_from_slice(&out);
-            }
+        for (id, array) in args.ids.iter().zip(lent) {
+            self.arrays.insert(id.0, array);
         }
+        // The barrier: the first fault in node-index order wins. A
+        // faulting node wrote nothing (the kernel checks before it
+        // writes) but the others have run, so the arrays of a failed
+        // dispatch are unspecified; a killed superstep is restored from
+        // its checkpoint regardless.
+        let busy = results.into_iter().collect::<Result<Vec<f64>, _>>()?;
         self.charge_compute(&busy);
 
-        let flops_per_elem: u64 = routine.body().iter().map(Instr::flops_per_elem).sum();
-        self.stats.flops += flops_per_elem * (map.rows() * inner) as u64;
+        self.stats.flops += kernel.flops_per_elem() * (map.rows() * inner) as u64;
         self.stats.dispatches += 1;
-        self.trace_phase_all_nodes(&format!("dispatch.{}", routine.name()));
+        self.trace_phase_all_nodes(kernel.dispatch_label());
         Ok(())
     }
 
@@ -1090,6 +1075,31 @@ mod tests {
         for threads in [2, 8] {
             assert_eq!(run(threads), baseline, "host_threads={threads}");
         }
+    }
+
+    #[test]
+    fn a_faulting_dispatch_is_the_same_error_at_any_thread_count() {
+        // `inc` takes no scalars: every node's kernel refuses the call.
+        // The barrier reports the lowest-numbered node's fault, which
+        // does not depend on which worker got there first; the arrays
+        // are back in the table (contents unspecified), not lost.
+        let run = |threads: usize| {
+            let mut m = MimdMachine::new(MimdConfig::new(8).with_host_threads(threads));
+            let a = m.alloc_from(&[16], (0..16).map(|i| i as f64).collect());
+            let b = m.alloc_with_bounds(&[16], &[1]);
+            let err = m
+                .dispatch(&inc_routine(), &[a, b], &[2.0])
+                .expect_err("one scalar too many");
+            assert_eq!(m.read(a).unwrap().len(), 16);
+            assert_eq!(m.read(b).unwrap().len(), 16);
+            m.dispatch(&inc_routine(), &[a, b], &[])
+                .expect("the machine survives a faulted dispatch");
+            (err, m.read(b).unwrap())
+        };
+        let (err, after) = run(1);
+        assert!(matches!(&err, Cm2Error::Peac(m) if m.contains("expects 0 scalar arguments")));
+        assert_eq!(after, (1..=16).map(|i| i as f64).collect::<Vec<_>>());
+        assert_eq!(run(4), (err, after));
     }
 
     #[test]

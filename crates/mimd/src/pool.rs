@@ -15,7 +15,8 @@
 //!   (`[w·n/workers, (w+1)·n/workers)`), carved out of the result
 //!   buffer with `split_at_mut` — no sharing, no locks, no atomics;
 //! * workers never touch shared mutable state; the closure gets an
-//!   index and returns a value;
+//!   index (and, in [`run_indexed_mut`], that index's own item) and
+//!   returns a value;
 //! * the scope joins every worker before results are read, and results
 //!   are consumed in index order regardless of which worker finished
 //!   first.
@@ -35,8 +36,26 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
+    run_indexed_mut(host_threads, &mut vec![(); n], |i, ()| f(i))
+}
+
+/// [`run_indexed`] over per-index state: index `i` gets `&mut items[i]`
+/// and nothing else, so each simulated node can update its own storage
+/// in place. The items are carved up with the same contiguous chunks as
+/// the results.
+pub fn run_indexed_mut<T, R, F>(host_threads: usize, items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let n = items.len();
     if host_threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+        return items
+            .iter_mut()
+            .enumerate()
+            .map(|(i, item)| f(i, item))
+            .collect();
     }
     let workers = host_threads.min(n);
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
@@ -44,6 +63,7 @@ where
 
     std::thread::scope(|scope| {
         let mut rest: &mut [Option<R>] = &mut slots;
+        let mut rest_items: &mut [T] = items;
         let mut start = 0usize;
         for w in 0..workers {
             // Contiguous chunk [start, end): same partition shape the
@@ -51,10 +71,12 @@ where
             let end = (w + 1) * n / workers;
             let (chunk, tail) = rest.split_at_mut(end - start);
             rest = tail;
+            let (chunk_items, tail_items) = rest_items.split_at_mut(end - start);
+            rest_items = tail_items;
             let f = &f;
             scope.spawn(move || {
-                for (offset, slot) in chunk.iter_mut().enumerate() {
-                    *slot = Some(f(start + offset));
+                for (offset, (slot, item)) in chunk.iter_mut().zip(chunk_items).enumerate() {
+                    *slot = Some(f(start + offset, item));
                 }
             });
             start = end;
@@ -92,6 +114,21 @@ mod tests {
                 .map(|x| x.to_bits())
                 .collect();
             assert_eq!(seq, par, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn each_index_mutates_only_its_own_item() {
+        for threads in [1, 2, 3, 8] {
+            let mut items: Vec<Vec<usize>> = (0..11).map(|i| vec![i]).collect();
+            let out = run_indexed_mut(threads, &mut items, |i, item| {
+                item.push(i * 10);
+                item.len()
+            });
+            assert_eq!(out, vec![2; 11], "threads={threads}");
+            for (i, item) in items.iter().enumerate() {
+                assert_eq!(item, &vec![i, i * 10], "threads={threads}");
+            }
         }
     }
 

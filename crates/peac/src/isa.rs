@@ -8,7 +8,9 @@
 //! Figure 12 (`fsubv aV3 aV4 aV1, flodv [aP5+0]1++ aV2`).
 
 use std::fmt;
+use std::sync::OnceLock;
 
+use crate::threaded::CompiledBlock;
 use crate::PeacError;
 
 /// Number of lanes of a PEAC vector register (the Weitek programmed
@@ -601,6 +603,18 @@ pub struct Routine {
     nargs_scalar: usize,
     body: Vec<Instr>,
     spill_slots: u16,
+    kernel: KernelCache,
+}
+
+/// The routine's slab kernel, built on first dispatch. A pure function
+/// of the other fields, so it takes no part in equality.
+#[derive(Debug, Clone, Default)]
+struct KernelCache(OnceLock<CompiledBlock>);
+
+impl PartialEq for KernelCache {
+    fn eq(&self, _: &KernelCache) -> bool {
+        true
+    }
 }
 
 impl Routine {
@@ -624,7 +638,15 @@ impl Routine {
             nargs_scalar,
             body,
             spill_slots,
+            kernel: KernelCache::default(),
         })
+    }
+
+    /// The routine compiled for execution (see [`crate::threaded`]):
+    /// built once, on first use, and shared by every later dispatch and
+    /// every thread that holds this routine.
+    pub fn kernel(&self) -> &CompiledBlock {
+        self.kernel.0.get_or_init(|| CompiledBlock::compile(self))
     }
 
     /// The routine's name (the dispatch label).

@@ -21,10 +21,10 @@
 //!   subgrid loop over real `f64` node memory, producing both numerical
 //!   results (for translation validation against the NIR evaluator) and
 //!   a deterministic cycle count (for the performance tables);
-//! * [`threaded`] — the threaded-code engine under it:
-//!   [`CompiledBlock`] pre-resolves a routine into a `Vec` of op
-//!   thunks, compiled once and shared (`Send + Sync`) across every
-//!   node of a dispatch;
+//! * [`threaded`] — the slab kernel under it: [`CompiledBlock`]
+//!   pre-decodes a routine once (cached in the [`Routine`]) and runs it
+//!   in place over caller-owned slabs, strip by strip, shared
+//!   (`Send + Sync`) across every node and thread of a dispatch;
 //! * [`profile`] — the opt-in opcode profiler: per-opcode hit/cycle
 //!   histograms whose sums reconcile with the simulator's and the
 //!   machine's cycle charges exactly.
@@ -55,6 +55,8 @@ pub mod asm;
 pub mod costs;
 pub mod isa;
 pub mod profile;
+#[cfg(test)]
+mod reference;
 pub mod sim;
 pub mod threaded;
 pub mod validate;

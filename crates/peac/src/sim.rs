@@ -1,23 +1,19 @@
 //! The executing PEAC simulator.
 //!
 //! A routine runs its virtual subgrid loop over real node memory: every
-//! vector lane is computed, so translation validation can compare the
+//! element is computed, so translation validation can compare the
 //! bytes a compiled program produces against the NIR reference
 //! evaluator. Cycle accounting comes from [`crate::costs`] and is
 //! deterministic.
 //!
-//! Arrays are allocated padded to a whole number of vectors; the last
-//! iteration computes the pad lanes too (harmlessly — each array has its
-//! own pad region, and IEEE arithmetic on garbage lanes cannot fault),
-//! exactly like real vector hardware running a full final beat.
-//!
-//! Execution itself lives in [`crate::threaded`]: the body compiles
-//! once into a [`CompiledBlock`] of pre-resolved op thunks and the
-//! loop runs those — [`run_routine`] keeps the historical one-shot
-//! API on top.
+//! Execution itself lives in [`crate::threaded`]: the body is
+//! pre-decoded once per [`Routine`] into a slab kernel that the
+//! machines run in place over their own arrays, computing exactly the
+//! `n_elems` it is asked for — no buffer is padded to whole vectors.
+//! [`NodeMemory`] and [`run_routine`] keep the historical flat-heap API
+//! on top of that kernel.
 
-use crate::isa::{Routine, VLEN};
-use crate::threaded::CompiledBlock;
+use crate::isa::Routine;
 use crate::PeacError;
 
 /// A processing node's local memory: a flat `f64` heap.
@@ -36,21 +32,18 @@ impl NodeMemory {
         NodeMemory { heap: Vec::new() }
     }
 
-    /// Allocate a buffer initialised from `data`, padded to a whole
-    /// number of vectors. Returns its base pointer.
+    /// Allocate a buffer initialised from `data`. Returns its base
+    /// pointer.
     pub fn alloc(&mut self, data: &[f64]) -> Ptr {
         let base = self.heap.len();
         self.heap.extend_from_slice(data);
-        let pad = (VLEN - data.len() % VLEN) % VLEN;
-        self.heap.extend(std::iter::repeat_n(0.0, pad));
         base
     }
 
     /// Allocate an uninitialised (zeroed) buffer of `n` elements.
     pub fn alloc_zeroed(&mut self, n: usize) -> Ptr {
         let base = self.heap.len();
-        let padded = n.div_ceil(VLEN) * VLEN;
-        self.heap.extend(std::iter::repeat_n(0.0, padded));
+        self.heap.resize(base + n, 0.0);
         base
     }
 
@@ -86,7 +79,7 @@ pub struct ExecStats {
     pub iterations: u64,
     /// Node cycles consumed (deterministic, from the cost model).
     pub cycles: u64,
-    /// Floating-point operations over the *valid* (unpadded) elements.
+    /// Floating-point operations over the elements.
     pub flops: u64,
     /// Instructions executed (body length × iterations).
     pub instructions: u64,
@@ -108,15 +101,13 @@ impl ExecStats {
 /// fill the scalar registers. All pointer streams advance one vector per
 /// iteration.
 ///
-/// Since the threaded-code rework this is a thin wrapper: it compiles
-/// the routine to a [`CompiledBlock`] and runs it once. Callers that
-/// dispatch the same routine to many nodes should compile once with
-/// [`CompiledBlock::compile`] and share the block instead.
+/// A thin adapter: the routine's cached kernel ([`Routine::kernel`])
+/// run over the heap through [`crate::threaded::CompiledBlock::run`].
 ///
 /// # Errors
 ///
-/// Fails when arguments do not match the routine signature or a pointer
-/// stream runs off the heap.
+/// Fails when arguments do not match the routine signature, a pointer
+/// stream runs off the heap, or two streams partially overlap.
 pub fn run_routine(
     routine: &Routine,
     mem: &mut NodeMemory,
@@ -124,7 +115,7 @@ pub fn run_routine(
     scalar_args: &[f64],
     n_elems: usize,
 ) -> Result<ExecStats, PeacError> {
-    CompiledBlock::compile(routine).run(mem, ptr_args, scalar_args, n_elems)
+    routine.kernel().run(mem, ptr_args, scalar_args, n_elems)
 }
 
 /// [`run_routine`] with the opt-in opcode profiler: on success the

@@ -183,7 +183,9 @@ fn set_direction(
     }
 }
 
-fn operand_list(i: &Instr) -> Vec<Operand> {
+/// The operands of an arithmetic instruction, in assembler order
+/// (`fselv`'s mask is a register, not an operand).
+pub(crate) fn operand_list(i: &Instr) -> Vec<Operand> {
     use Instr::*;
     match i {
         Faddv { a, b, .. }
