@@ -23,8 +23,8 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 use f90y_backend::machine::Machine;
-use f90y_cm2::dispatch::{dispatch_in_place, ArrayStore};
-use f90y_cm2::runtime::shift_data;
+use f90y_cm2::dispatch::{check_write, dispatch_in_place, ArrayStore};
+use f90y_cm2::runtime::{coordinate_data, shift_data};
 use f90y_cm2::{Cm2Error, ReduceOp};
 use f90y_obs::trace::{Actor, ClockDomain, Trace, TraceEvent as FlightEvent};
 use f90y_peac::costs::{MEM_CYCLES, VOP_CYCLES};
@@ -230,13 +230,23 @@ impl Accel {
     /// bus).
     pub fn alloc_device(&mut self, dims: &[usize], lower: &[i64]) -> DeviceId {
         let total = dims.iter().product();
+        self.adopt(dims.to_vec(), lower.to_vec(), vec![0.0; total])
+    }
+
+    /// A new device array that owns `data` as its elements (nothing
+    /// crosses the bus: the caller charges what producing `data` cost).
+    fn adopt(&mut self, dims: Vec<usize>, lower: Vec<i64>, data: Vec<f64>) -> DeviceId {
         let id = DeviceId(self.arrays.len());
-        self.arrays.push(Some(DeviceArray {
-            dims: dims.to_vec(),
-            lower: lower.to_vec(),
-            data: vec![0.0; total],
-        }));
+        self.arrays.push(Some(DeviceArray { dims, lower, data }));
         id
+    }
+
+    /// Live device arrays other than the cached coordinate subgrids:
+    /// what a program has allocated and not yet freed or taken.
+    pub fn program_arrays(&self) -> usize {
+        let live = self.arrays.iter().enumerate().filter(|(_, a)| a.is_some());
+        live.filter(|&(i, _)| !self.coord_cache.values().any(|c| c.0 == i))
+            .count()
     }
 
     /// Charge one host→device transfer of `elems` elements.
@@ -309,20 +319,16 @@ impl Accel {
         } else {
             "eoshift"
         };
-        let (dims, lower, shifted) = {
-            let arr = self.array(src)?;
-            if axis >= arr.dims.len() {
-                return Err(Cm2Error::Runtime(format!(
-                    "{kind} axis {axis} out of range for rank {}",
-                    arr.dims.len()
-                )));
-            }
-            let shifted = shift_data(&arr.data, &arr.dims, axis, shift, boundary);
-            (arr.dims.clone(), arr.lower.clone(), shifted)
-        };
+        let arr = self.array(src)?;
+        if axis >= arr.dims.len() {
+            return Err(Cm2Error::Runtime(format!(
+                "{kind} axis {axis} out of range for rank {}",
+                arr.dims.len()
+            )));
+        }
+        let shifted = shift_data(&arr.data, &arr.dims, axis, shift, boundary);
         let total = shifted.len();
-        let id = self.alloc_device(&dims, &lower);
-        self.array_mut(id)?.data = shifted;
+        let id = self.adopt(arr.dims.clone(), arr.lower.clone(), shifted);
         // Device-to-device: a structured copy kernel, no bus traffic.
         let iters = self.iterations(total);
         let t0 = self.flight_clock();
@@ -354,12 +360,7 @@ impl Machine for Accel {
     fn alloc_from(&mut self, dims: &[usize], data: Vec<f64>) -> DeviceId {
         let total: usize = dims.iter().product();
         assert_eq!(data.len(), total, "data length must match extents");
-        let id = DeviceId(self.arrays.len());
-        self.arrays.push(Some(DeviceArray {
-            dims: dims.to_vec(),
-            lower: vec![1; dims.len()],
-            data,
-        }));
+        let id = self.adopt(dims.to_vec(), vec![1; dims.len()], data);
         self.charge_h2d(total);
         id
     }
@@ -383,16 +384,36 @@ impl Machine for Accel {
 
     fn write(&mut self, id: DeviceId, data: &[f64]) -> Result<(), Cm2Error> {
         let arr = self.array_mut(id)?;
-        if arr.data.len() != data.len() {
-            return Err(Cm2Error::Runtime(format!(
-                "write of {} elements into array of {}",
-                data.len(),
-                arr.data.len()
-            )));
-        }
+        check_write(data.len(), arr.data.len())?;
         arr.data.copy_from_slice(data);
         self.charge_h2d(data.len());
         Ok(())
+    }
+
+    fn assign(&mut self, dst: DeviceId, tmp: DeviceId) -> Result<(), Cm2Error> {
+        // The transfers `read(tmp)` then `write(dst, …)` put on the
+        // clock, around the same checks in the same order; the elements
+        // themselves never leave the device, so the buffer just moves.
+        let moving = self.array(tmp)?.data.len();
+        self.charge_d2h(moving);
+        check_write(moving, self.array(dst)?.data.len())?;
+        let data = self.arrays[tmp.0].take().expect("live above").data;
+        if dst != tmp {
+            self.array_mut(dst)?.data = data;
+        }
+        self.charge_h2d(moving);
+        Ok(())
+    }
+
+    fn take(&mut self, id: DeviceId) -> Result<Vec<f64>, Cm2Error> {
+        let data = self
+            .arrays
+            .get_mut(id.0)
+            .and_then(Option::take)
+            .map(|a| a.data)
+            .ok_or_else(|| Cm2Error::Runtime(format!("unknown array {id:?}")))?;
+        self.charge_d2h(data.len());
+        Ok(data)
     }
 
     fn dispatch(
@@ -451,15 +472,8 @@ impl Machine for Accel {
         if let Some(&id) = self.coord_cache.get(&key) {
             return id;
         }
-        let total: usize = dims.iter().product();
-        let stride: usize = dims[axis + 1..].iter().product();
-        let extent = dims[axis];
-        let mut data = Vec::with_capacity(total);
-        for flat in 0..total {
-            let coord = (flat / stride) % extent;
-            data.push((lower[axis] + coord as i64) as f64);
-        }
-        let iters = self.iterations(total);
+        let data = coordinate_data(dims, lower, axis);
+        let iters = self.iterations(data.len());
         let t0 = self.flight_clock();
         {
             let s = &mut self.state.borrow_mut().stats;
@@ -467,8 +481,7 @@ impl Machine for Accel {
             s.comm_calls += 1;
         }
         self.flight_phase(Actor::Machine, "coord", t0);
-        let id = self.alloc_device(dims, lower);
-        self.array_mut(id).expect("array just allocated").data = data;
+        let id = self.adopt(dims.to_vec(), lower.to_vec(), data);
         self.coord_cache.insert(key, id);
         id
     }

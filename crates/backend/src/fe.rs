@@ -135,7 +135,8 @@ impl<'m, M: Machine> HostExecutor<'m, M> {
             }
         }
         self.exec_stmts(&program.host, program)?;
-        // Capture everything still live.
+        // Capture everything still live: finals are moved out, so a
+        // finished run leaves no program array on the machine.
         while let Some(scope) = self.scopes.pop() {
             self.capture(scope)?;
         }
@@ -154,7 +155,7 @@ impl<'m, M: Machine> HostExecutor<'m, M> {
                         0.0
                     }))
                 }
-                Entry::Array(a) => Final::Array(self.cm.read(a.id)?),
+                Entry::Array(a) => Final::Array(self.cm.take(a.id)?),
             };
             self.finals.entry(name).or_insert(value);
         }
@@ -258,9 +259,7 @@ impl<'m, M: Machine> HostExecutor<'m, M> {
                         self.cm.eoshift(src_ref.id, dim as usize - 1, shift, b)?
                     }
                 };
-                let data = self.cm.read(tmp)?;
-                self.cm.write(dst_ref.id, &data)?;
-                self.cm.free(tmp)?;
+                self.cm.assign(dst_ref.id, tmp)?;
                 self.cm.charge_host_ops(4);
                 Ok(())
             }
@@ -763,7 +762,7 @@ impl<'m, M: Machine> HostExecutor<'m, M> {
             "cshift" | "eoshift" => {
                 // Host-context communication (shift amounts depending on
                 // DO indices, etc.): materialise the argument, call the
-                // runtime, read back.
+                // runtime, take the result back.
                 let HVal::Array(data, dims) = self.eval_host(&args[0].1)? else {
                     return Err(BackendError::Host(format!("{name} of a scalar")));
                 };
@@ -797,9 +796,8 @@ impl<'m, M: Machine> HostExecutor<'m, M> {
                     };
                     self.cm.eoshift(tmp, dim as usize - 1, shift, b)?
                 };
-                let out = self.cm.read(shifted)?;
+                let out = self.cm.take(shifted)?;
                 self.cm.free(tmp)?;
-                self.cm.free(shifted)?;
                 let typed = out
                     .into_iter()
                     .map(|x| NScalar::F64(x).convert(elem))

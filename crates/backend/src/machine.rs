@@ -50,21 +50,57 @@ pub trait Machine {
     /// Fails on a stale handle.
     fn free(&mut self, id: Self::Id) -> Result<(), Cm2Error>;
 
-    /// A copy of an array's elements (row-major), free of charge — a
-    /// harness/verification affordance, not a runtime call.
+    /// A copy of an array's elements (row-major). What it costs on the
+    /// simulated clock is the machine's own model: nothing on the CM/2
+    /// and the CM/5 engine (the front end peeks at node memory — a
+    /// harness affordance, not a runtime call), one device→host
+    /// transfer of the whole array on the accelerator (the D2H
+    /// `predict` counts).
     ///
     /// # Errors
     ///
     /// Fails on a stale handle.
     fn read(&self, id: Self::Id) -> Result<Vec<f64>, Cm2Error>;
 
-    /// Overwrite an array's elements, free of charge (harness
-    /// affordance).
+    /// Overwrite an array's elements. Free on the CM/2 and the CM/5
+    /// engine, one host→device transfer of the whole array on the
+    /// accelerator.
     ///
     /// # Errors
     ///
     /// Fails on a stale handle or a length mismatch.
     fn write(&mut self, id: Self::Id, data: &[f64]) -> Result<(), Cm2Error>;
+
+    /// `dst` takes `tmp`'s elements and `tmp` dies: how the host program
+    /// lands a shifted temporary in its target. This default body is the
+    /// specification — a machine that overrides it (all three do, as a
+    /// buffer move) must charge and trace exactly what `read(tmp)`,
+    /// `write(dst, …)`, `free(tmp)` charge, in that order, fail with the
+    /// same error at the same point, and leave both arrays as the
+    /// composition leaves them.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a stale handle or when the element counts differ.
+    fn assign(&mut self, dst: Self::Id, tmp: Self::Id) -> Result<(), Cm2Error> {
+        let data = self.read(tmp)?;
+        self.write(dst, &data)?;
+        self.free(tmp)
+    }
+
+    /// An array's elements, moved out: the array is freed. Charged like
+    /// the `read` then `free` of this default body, which is the
+    /// specification the machines' buffer-moving overrides are tested
+    /// against.
+    ///
+    /// # Errors
+    ///
+    /// Fails on a stale handle.
+    fn take(&mut self, id: Self::Id) -> Result<Vec<f64>, Cm2Error> {
+        let data = self.read(id)?;
+        self.free(id)?;
+        Ok(data)
+    }
 
     /// Dispatch a PEAC routine elementwise over the given arrays.
     ///
@@ -159,6 +195,14 @@ impl Machine for Cm2 {
 
     fn write(&mut self, id: ArrayId, data: &[f64]) -> Result<(), Cm2Error> {
         Cm2::write(self, id, data)
+    }
+
+    fn assign(&mut self, dst: ArrayId, tmp: ArrayId) -> Result<(), Cm2Error> {
+        Cm2::assign(self, dst, tmp)
+    }
+
+    fn take(&mut self, id: ArrayId) -> Result<Vec<f64>, Cm2Error> {
+        Cm2::take(self, id)
     }
 
     fn dispatch(

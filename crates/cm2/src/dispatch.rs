@@ -71,6 +71,21 @@ pub fn common<Id: Copy, T: PartialEq + Debug>(
     Ok(agreed)
 }
 
+/// The length check of a whole-array `write`, with its message — shared
+/// with `assign`, which must fail exactly as the `write` it stands for.
+///
+/// # Errors
+///
+/// Fails when `writing` elements would land in an array of `have`.
+pub fn check_write(writing: usize, have: usize) -> Result<(), Cm2Error> {
+    if writing == have {
+        return Ok(());
+    }
+    Err(Cm2Error::Runtime(format!(
+        "write of {writing} elements into array of {have}"
+    )))
+}
+
 /// A machine that keeps each array as one contiguous buffer.
 pub trait ArrayStore {
     /// The machine's array handle.

@@ -7,6 +7,7 @@ use f90y_peac::profile::OpcodeProfile;
 
 use crate::config::Cm2Config;
 use crate::costs;
+use crate::dispatch::check_write;
 use crate::layout::Layout;
 use crate::Cm2Error;
 
@@ -382,13 +383,7 @@ impl Cm2 {
     /// Allocate a zeroed CM array with explicit lower bounds.
     pub fn alloc_with_bounds(&mut self, dims: &[usize], lower: &[i64]) -> ArrayId {
         let total = dims.iter().product();
-        let id = ArrayId(self.arrays.len());
-        self.arrays.push(Some(CmArray {
-            dims: dims.to_vec(),
-            lower: lower.to_vec(),
-            data: vec![0.0; total],
-        }));
-        id
+        self.adopt(dims.to_vec(), lower.to_vec(), vec![0.0; total])
     }
 
     /// Allocate and initialise a CM array.
@@ -399,12 +394,13 @@ impl Cm2 {
     pub fn alloc_from(&mut self, dims: &[usize], data: Vec<f64>) -> ArrayId {
         let total: usize = dims.iter().product();
         assert_eq!(data.len(), total, "data length must match extents");
+        self.adopt(dims.to_vec(), vec![1; dims.len()], data)
+    }
+
+    /// A new array that owns `data` as its elements.
+    pub(crate) fn adopt(&mut self, dims: Vec<usize>, lower: Vec<i64>, data: Vec<f64>) -> ArrayId {
         let id = ArrayId(self.arrays.len());
-        self.arrays.push(Some(CmArray {
-            dims: dims.to_vec(),
-            lower: vec![1; dims.len()],
-            data,
-        }));
+        self.arrays.push(Some(CmArray { dims, lower, data }));
         id
     }
 
@@ -465,15 +461,49 @@ impl Cm2 {
     /// Fails when the handle is stale or the length mismatches.
     pub fn write(&mut self, id: ArrayId, data: &[f64]) -> Result<(), Cm2Error> {
         let arr = self.array_mut(id)?;
-        if arr.data.len() != data.len() {
-            return Err(Cm2Error::Runtime(format!(
-                "write of {} elements into array of {}",
-                data.len(),
-                arr.data.len()
-            )));
-        }
+        check_write(data.len(), arr.data.len())?;
         arr.data.copy_from_slice(data);
         Ok(())
+    }
+
+    /// `dst` takes `tmp`'s elements and `tmp` is freed: `read(tmp)`,
+    /// `write(dst, …)`, `free(tmp)` as one buffer move — no element is
+    /// copied. Free of charge, like the calls it stands for.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a handle is stale or the lengths mismatch, as `read`
+    /// and `write` would; both arrays are then untouched.
+    pub fn assign(&mut self, dst: ArrayId, tmp: ArrayId) -> Result<(), Cm2Error> {
+        let moving = self.array(tmp)?.data.len();
+        check_write(moving, self.array(dst)?.data.len())?;
+        let data = self.take(tmp)?;
+        if dst != tmp {
+            self.array_mut(dst)?.data = data;
+        }
+        Ok(())
+    }
+
+    /// An array's elements, moved out; the array is freed. Free of
+    /// charge, like `read`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the handle is stale.
+    pub fn take(&mut self, id: ArrayId) -> Result<Vec<f64>, Cm2Error> {
+        self.arrays
+            .get_mut(id.0)
+            .and_then(Option::take)
+            .map(|a| a.data)
+            .ok_or_else(|| Cm2Error::Runtime(format!("unknown array {id:?}")))
+    }
+
+    /// Live arrays other than the cached coordinate subgrids: what a
+    /// program has allocated and not yet freed or taken.
+    pub fn program_arrays(&self) -> usize {
+        let live = self.arrays.iter().enumerate().filter(|(_, a)| a.is_some());
+        live.filter(|&(i, _)| !self.coord_cache.values().any(|c| c.0 == i))
+            .count()
     }
 
     /// The blockwise layout of an array on this machine.

@@ -155,9 +155,7 @@ impl Cm2 {
             )));
         }
         let shifted = shift_data(&arr.data, &arr.dims, axis, shift, boundary);
-        let (dims, lower) = (arr.dims.clone(), arr.lower.clone());
-        let id = self.alloc_with_bounds(&dims, &lower);
-        self.array_mut(id)?.data = shifted;
+        let id = self.adopt(arr.dims.clone(), arr.lower.clone(), shifted);
         self.charge_grid_comm(src, axis, shift)?;
         Ok(id)
     }
@@ -198,8 +196,7 @@ impl Cm2 {
             (arr.dims.clone(), arr.lower.clone(), arr.data.clone())
         };
         let layout = self.layout(src)?;
-        let id = self.alloc_with_bounds(&dims, &lower);
-        self.array_mut(id)?.data = data;
+        let id = self.adopt(dims, lower, data);
         let t0 = self.flight_clock();
         self.charge_comm("router", costs::router_comm_cycles(&layout));
         self.flight_phase(Actor::Machine, "router", t0);
@@ -267,20 +264,12 @@ impl Cm2 {
         if let Some(&id) = self.coord_cache.get(&key) {
             return id;
         }
-        let total: usize = dims.iter().product();
-        let stride: usize = dims[axis + 1..].iter().product();
-        let extent = dims[axis];
-        let mut data = Vec::with_capacity(total);
-        for flat in 0..total {
-            let coord = (flat / stride) % extent;
-            data.push((lower[axis] + coord as i64) as f64);
-        }
-        let layout = crate::layout::Layout::blockwise(total, self.config.nodes);
+        let data = coordinate_data(dims, lower, axis);
+        let layout = crate::layout::Layout::blockwise(data.len(), self.config.nodes);
         let t0 = self.flight_clock();
         self.charge_comm("coord", costs::coordinate_gen_cycles(&layout));
         self.flight_phase(Actor::Machine, "coord", t0);
-        let id = self.alloc_with_bounds(dims, lower);
-        self.array_mut(id).expect("array just allocated").data = data;
+        let id = self.adopt(dims.to_vec(), lower.to_vec(), data);
         self.coord_cache.insert(key, id);
         id
     }
@@ -346,38 +335,94 @@ pub fn shift_data(
     shift: i64,
     boundary: Option<f64>,
 ) -> Vec<f64> {
+    let mut out = vec![0.0; data.len()];
+    shift_into(&mut out, data, dims, axis, shift, boundary);
+    out
+}
+
+/// [`shift_data`] into a caller-owned buffer, every element of which is
+/// written: how the MIMD engine's nodes shift their slabs of one array
+/// into disjoint ranges of one result.
+///
+/// # Panics
+///
+/// Panics when `out` and `data` differ in length.
+pub fn shift_into(
+    out: &mut [f64],
+    data: &[f64],
+    dims: &[usize],
+    axis: usize,
+    shift: i64,
+    boundary: Option<f64>,
+) {
+    assert_eq!(out.len(), data.len(), "a shift keeps the shape");
     let inner: usize = dims[axis + 1..].iter().product();
     let n = dims[axis] as i64;
     // One plane per outer index: `extent` rows of `inner` contiguous
     // elements. Destination row `a` takes source row `a + shift`, so
     // within a plane whole runs of rows move as one copy.
     let plane = dims[axis] * inner;
-    let mut out = Vec::with_capacity(data.len());
     if plane == 0 {
-        return out;
+        return;
     }
     let row = |r: i64| r as usize * inner;
-    for src in data.chunks_exact(plane) {
+    for (dst, src) in out.chunks_exact_mut(plane).zip(data.chunks_exact(plane)) {
         match boundary {
             None => {
                 let (wrapped, straight) = src.split_at(row(shift.rem_euclid(n)));
-                out.extend_from_slice(straight);
-                out.extend_from_slice(wrapped);
+                let (head, tail) = dst.split_at_mut(straight.len());
+                head.copy_from_slice(straight);
+                tail.copy_from_slice(wrapped);
             }
             Some(b) => {
                 // Destination rows `lo..hi` have a source row in range;
                 // the rows before and after them are vacated.
                 let lo = shift.saturating_neg().clamp(0, n);
                 let hi = n.saturating_sub(shift).clamp(lo, n);
-                out.resize(out.len() + row(lo), b);
+                dst[..row(lo)].fill(b);
                 if lo < hi {
-                    out.extend_from_slice(&src[row(lo + shift)..row(hi + shift)]);
+                    dst[row(lo)..row(hi)].copy_from_slice(&src[row(lo + shift)..row(hi + shift)]);
                 }
-                out.resize(out.len() + row(n - hi), b);
+                dst[row(hi)..].fill(b);
             }
         }
     }
-    out
+}
+
+/// The coordinate subgrid of `axis` (0-based) for arrays of the given
+/// extents and lower bounds, row-major: element values are the Fortran
+/// coordinate along that axis. Every machine's `coordinates` call
+/// generates its subgrid here.
+///
+/// A coordinate holds for a run of `stride` consecutive elements (the
+/// product of the inner extents) and the runs cycle through the axis's
+/// extent, so the fill is by runs: no division per element.
+pub fn coordinate_data(dims: &[usize], lower: &[i64], axis: usize) -> Vec<f64> {
+    let total: usize = dims.iter().product();
+    let stride: usize = dims[axis + 1..].iter().product();
+    let mut data = Vec::with_capacity(total);
+    while data.len() < total {
+        for coord in 0..dims[axis] {
+            let value = (lower[axis] + coord as i64) as f64;
+            data.resize(data.len() + stride, value);
+        }
+    }
+    data
+}
+
+/// The per-element formula [`coordinate_data`] replaced, kept as its
+/// oracle.
+#[cfg(test)]
+fn coordinate_data_per_element(dims: &[usize], lower: &[i64], axis: usize) -> Vec<f64> {
+    let total: usize = dims.iter().product();
+    let stride: usize = dims[axis + 1..].iter().product();
+    let extent = dims[axis];
+    let mut data = Vec::with_capacity(total);
+    for flat in 0..total {
+        let coord = (flat / stride) % extent;
+        data.push((lower[axis] + coord as i64) as f64);
+    }
+    data
 }
 
 /// The per-element formula [`shift_data`] replaced, kept as its oracle.
@@ -580,6 +625,25 @@ mod tests {
                 bits(shift_data(&data, &dims, axis, shift, boundary)),
                 bits(shift_data_per_element(&data, &dims, axis, shift, boundary))
             );
+        }
+    }
+
+    proptest::proptest! {
+        /// The run-filling `coordinate_data` is the per-element formula,
+        /// bit for bit: any rank-1..3 shape (empty axes included), every
+        /// axis, lower bounds on both sides of zero.
+        #[test]
+        fn coordinate_data_matches_the_per_element_formula(
+            dims in proptest::collection::vec(0usize..6, 1..4),
+            lower in proptest::collection::vec(-40i64..40, 3),
+        ) {
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<u64>>();
+            for axis in 0..dims.len() {
+                proptest::prop_assert_eq!(
+                    bits(coordinate_data(&dims, &lower, axis)),
+                    bits(coordinate_data_per_element(&dims, &lower, axis))
+                );
+            }
         }
     }
 

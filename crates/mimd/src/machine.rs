@@ -2,12 +2,13 @@
 //! program's runtime calls.
 //!
 //! Every CM array is sharded along its outermost axis
-//! ([`crate::shard::ShardMap`]); each runtime call becomes one
-//! bulk-synchronous superstep:
+//! ([`crate::shard::ShardMap`]) and stored as one row-major buffer in
+//! which each node owns a contiguous range; each runtime call becomes
+//! one bulk-synchronous superstep:
 //!
 //! * **dispatch** — the control processor broadcasts the routine and
 //!   its arguments down a binomial tree, then every node runs the PEAC
-//!   routine in place over its own shards through `f90y-peac`'s slab
+//!   routine in place over its own ranges through `f90y-peac`'s slab
 //!   kernel. No data moves: arrays of one shape shard identically, so
 //!   each node already holds matching slabs of every argument.
 //! * **grid shifts** — a halo exchange. Rows a node needs but does not
@@ -35,7 +36,7 @@
 //! in dispatches, slab construction in shifts — fans out over
 //! [`MimdConfig::host_threads`] host workers via [`crate::pool`].
 //! Between barriers the nodes share nothing mutable (a dispatch hands
-//! each node `&mut` to its own shards and runs in place); results merge
+//! each node `&mut` to its own ranges and runs in place); results merge
 //! at the barrier in node-index order — of several faulting nodes the
 //! lowest-numbered one's error is the dispatch's, and the arrays of a
 //! failed dispatch are unspecified — and messages are sequenced
@@ -64,7 +65,7 @@ use std::collections::{HashMap, HashSet};
 
 use f90y_backend::Machine;
 use f90y_cm2::dispatch::{self, SlabArgs};
-use f90y_cm2::runtime::{shift_data, ReduceOp};
+use f90y_cm2::runtime::{coordinate_data, shift_into, ReduceOp};
 use f90y_cm2::Cm2Error;
 use f90y_obs::trace::{Actor, ClockDomain, Trace, TraceEvent};
 use f90y_peac::isa::Instr;
@@ -86,9 +87,9 @@ pub struct MimdId(usize);
 struct MimdArray {
     dims: Vec<usize>,
     lower: Vec<i64>,
-    /// Row-major slab per node; concatenation in node order is the
-    /// whole array in row-major order.
-    shards: Vec<Vec<f64>>,
+    /// The whole array, row-major, in one buffer: node `k`'s slab is
+    /// the range [`ShardMap::elems`] gives it.
+    data: Vec<f64>,
 }
 
 impl MimdArray {
@@ -100,29 +101,23 @@ impl MimdArray {
         self.dims.iter().skip(1).product()
     }
 
-    fn total(&self) -> usize {
-        self.rows() * self.inner()
-    }
-
     fn map(&self, nodes: usize) -> ShardMap {
         ShardMap::new(self.rows(), nodes)
     }
+}
 
-    fn gather(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.total());
-        for s in &self.shards {
-            out.extend_from_slice(s);
-        }
-        out
+/// `write`'s length check, which `assign` shares.
+fn check_write(writing: usize, have: usize) -> Result<(), Cm2Error> {
+    if writing == have {
+        return Ok(());
     }
+    Err(Cm2Error::Runtime(format!(
+        "write length {writing} disagrees with array size {have}"
+    )))
+}
 
-    /// One whole row in global coordinates.
-    fn row(&self, map: &ShardMap, r: usize) -> &[f64] {
-        let k = map.owner(r);
-        let local = r - map.row_start(k);
-        let inner = self.inner();
-        &self.shards[k][local * inner..(local + 1) * inner]
-    }
+fn stale(id: MimdId) -> Cm2Error {
+    Cm2Error::Runtime(format!("stale MIMD array handle {id:?}"))
 }
 
 /// The sharded multi-node execution engine.
@@ -249,36 +244,31 @@ impl MimdMachine {
     }
 
     fn array(&self, id: MimdId) -> Result<&MimdArray, Cm2Error> {
-        self.arrays
-            .get(&id.0)
-            .ok_or_else(|| Cm2Error::Runtime(format!("stale MIMD array handle {:?}", id)))
+        self.arrays.get(&id.0).ok_or_else(|| stale(id))
     }
 
-    fn alloc_sharded(&mut self, dims: &[usize], lower: &[i64], data: Option<Vec<f64>>) -> MimdId {
-        let rows = dims.first().copied().unwrap_or(1);
-        let inner: usize = dims.iter().skip(1).product();
-        let map = ShardMap::new(rows, self.config.nodes);
-        let shards = (0..self.config.nodes)
-            .map(|k| {
-                let lo = map.row_start(k) * inner;
-                let hi = map.row_end(k) * inner;
-                match &data {
-                    Some(d) => d[lo..hi].to_vec(),
-                    None => vec![0.0; hi - lo],
-                }
-            })
-            .collect();
+    fn array_mut(&mut self, id: MimdId) -> Result<&mut MimdArray, Cm2Error> {
+        self.arrays.get_mut(&id.0).ok_or_else(|| stale(id))
+    }
+
+    /// A new array that owns `data` as its row-major elements.
+    fn adopt(&mut self, dims: Vec<usize>, lower: Vec<i64>, data: Vec<f64>) -> MimdId {
+        assert_eq!(
+            data.len(),
+            dims.iter().product::<usize>(),
+            "data length must match extents"
+        );
         let id = self.next;
         self.next += 1;
-        self.arrays.insert(
-            id,
-            MimdArray {
-                dims: dims.to_vec(),
-                lower: lower.to_vec(),
-                shards,
-            },
-        );
+        self.arrays.insert(id, MimdArray { dims, lower, data });
         MimdId(id)
+    }
+
+    /// Live arrays other than the cached coordinate subgrids: what a
+    /// program has allocated and not yet freed or taken.
+    pub fn program_arrays(&self) -> usize {
+        let cached = |id: &usize| self.coord_cache.values().any(|c| c.0 == *id);
+        self.arrays.keys().filter(|id| !cached(id)).count()
     }
 
     /// The superstep clock so far (one tick per runtime call).
@@ -296,7 +286,7 @@ impl MimdMachine {
                 id,
                 dims: a.dims.clone(),
                 lower: a.lower.clone(),
-                shards: a.shards.clone(),
+                data: a.data.clone(),
             })
             .collect();
         Checkpoint::new(entries, self.next)
@@ -317,7 +307,7 @@ impl MimdMachine {
                     MimdArray {
                         dims: e.dims.clone(),
                         lower: e.lower.clone(),
-                        shards: e.shards.clone(),
+                        data: e.data.clone(),
                     },
                 )
             })
@@ -425,7 +415,7 @@ impl MimdMachine {
             self.fired_kills.insert(i);
             self.stats.node_kills += 1;
             self.stats.node_restarts += 1;
-            restored_bytes += ckpt.node_bytes(node);
+            restored_bytes += ckpt.node_bytes(node, self.config.nodes);
             if let Some(t) = &mut self.trace {
                 t.record(TraceEvent::Fault {
                     step,
@@ -435,7 +425,7 @@ impl MimdMachine {
             }
         }
         self.restarts_used += kills.len() as u32;
-        // Recovery: re-ship the killed nodes' checkpointed shards, then
+        // Recovery: re-ship the killed nodes' checkpointed slabs, then
         // replay the superstep from the restored barrier state.
         let restore_secs =
             plan.retry_timeout_seconds + restored_bytes as f64 / self.config.network_bytes_per_sec;
@@ -532,29 +522,30 @@ impl MimdMachine {
         let map = arr.map(nodes);
         let inner = arr.inner();
         let rows = arr.rows();
-
+        let elems = arr.data.len();
         let host_threads = self.config.host_threads;
-        let (shards, batch) = if axis == 0 {
+
+        // Every node fills its own range of one result buffer —
+        // concurrently on the host pool — reading only the source array.
+        let mut data = vec![0.0; elems];
+        let mut slabs = map.split_mut(inner, &mut data);
+        let batch = if axis == 0 {
             // Halo exchange: destination row `a` takes source row
             // `a + shift`; rows outside the local slab arrive as ghost
-            // rows, one message per (owner → needer) pair. Slab
-            // construction only reads the source array, so the nodes
-            // build concurrently on the host pool; ghost counts merge
-            // at the barrier in node order (delivery re-sorts the
+            // rows, one message per (owner → needer) pair. Ghost counts
+            // merge at the barrier in node order (delivery re-sorts the
             // batch by `(src, dst)` before sequencing anyway — see
             // `Net::deliver_traced` — so batch assembly order cannot
             // perturb the trace).
-            // One shard slab plus its (owner, ghost-row-count) tallies.
-            type SlabAndGhosts = (Vec<f64>, Vec<(usize, u64)>);
-            let per_node: Vec<SlabAndGhosts> = pool::run_indexed(host_threads, nodes, |k| {
-                let mut slab = Vec::with_capacity(map.rows_of(k) * inner);
+            let source_row = |r: usize| &arr.data[r * inner..(r + 1) * inner];
+            let ghosts_of = |k: usize, slab: &mut &mut [f64]| {
+                // (owner, ghost-row-count) tallies.
                 let mut ghosts: Vec<(usize, u64)> = Vec::new();
-                for a in map.row_start(k)..map.row_end(k) {
+                for (local, a) in (map.row_start(k)..map.row_end(k)).enumerate() {
+                    let dst = &mut slab[local * inner..(local + 1) * inner];
                     let src_row = a as i64 + shift;
                     match boundary {
-                        Some(b) if src_row < 0 || src_row >= rows as i64 => {
-                            slab.extend(std::iter::repeat_n(b, inner));
-                        }
+                        Some(b) if src_row < 0 || src_row >= rows as i64 => dst.fill(b),
                         _ => {
                             let r = src_row.rem_euclid(rows.max(1) as i64) as usize;
                             let owner = map.owner(r);
@@ -566,16 +557,15 @@ impl MimdMachine {
                                     None => ghosts.push((owner, 1)),
                                 }
                             }
-                            slab.extend_from_slice(arr.row(&map, r));
+                            dst.copy_from_slice(source_row(r));
                         }
                     }
                 }
-                (slab, ghosts)
-            });
-            let mut shards = Vec::with_capacity(nodes);
+                ghosts
+            };
+            let per_node = pool::run_indexed_mut(host_threads, elems, &mut slabs, ghosts_of);
             let mut batch = Vec::new();
-            for (k, (slab, ghosts)) in per_node.into_iter().enumerate() {
-                shards.push(slab);
+            for (k, ghosts) in per_node.into_iter().enumerate() {
                 for (owner, ghost_rows) in ghosts {
                     batch.push(Message {
                         src: owner,
@@ -585,17 +575,18 @@ impl MimdMachine {
                     });
                 }
             }
-            (shards, batch)
+            batch
         } else {
             // Inner-axis shifts never cross a slab boundary: each node
             // shifts its own slab, viewed as an array whose outer
             // extent is its row count.
-            let shards = pool::run_indexed(host_threads, nodes, |k| {
+            pool::run_indexed_mut(host_threads, elems, &mut slabs, |k, slab| {
                 let mut local_dims = dims.clone();
                 local_dims[0] = map.rows_of(k);
-                shift_data(&arr.shards[k], &local_dims, axis, shift, boundary)
+                let own = &arr.data[map.elems(k, inner)];
+                shift_into(slab, own, &local_dims, axis, shift, boundary);
             });
-            (shards, Vec::new())
+            Vec::new()
         };
 
         // Local copy work: two memory beats per element on each node.
@@ -620,18 +611,7 @@ impl MimdMachine {
         // estimator charges per grid-communication event.
         self.stats.network_seconds += self.config.net_call_seconds;
         self.deliver(batch)?;
-
-        let id = self.next;
-        self.next += 1;
-        self.arrays.insert(
-            id,
-            MimdArray {
-                dims,
-                lower,
-                shards,
-            },
-        );
-        Ok(MimdId(id))
+        Ok(self.adopt(dims, lower, data))
     }
 
     /// The dispatch superstep body (see [`Machine::dispatch`]).
@@ -662,12 +642,12 @@ impl MimdMachine {
             as f64
             / self.config.sparc_clock_hz;
 
-        // Every node runs the routine in place over its own shards —
+        // Every node runs the routine in place over its own ranges —
         // concurrently on the host pool when `host_threads > 1`. All
         // workers share the routine's one kernel; node `k` is handed
-        // `&mut` to shard `k` of each distinct argument array and
+        // `&mut` to its range of each distinct argument array and
         // nothing else, so the thread count is unobservable. The arrays
-        // leave the table while their shards are lent out and are back
+        // leave the table while their ranges are lent out and are back
         // before anything can return early.
         let kernel = routine.kernel();
         let beats = Self::beats_per_elem(routine);
@@ -678,17 +658,19 @@ impl MimdMachine {
             .iter()
             .map(|id| self.arrays.remove(&id.0).expect("checked above"))
             .collect();
-        let mut shards: Vec<_> = lent.iter_mut().map(|a| a.shards.iter_mut()).collect();
+        let mut ranges: Vec<_> = lent
+            .iter_mut()
+            .map(|a| map.split_mut(inner, &mut a.data).into_iter())
+            .collect();
         let mut node_slabs: Vec<Vec<&mut [f64]>> = (0..nodes)
             .map(|_| {
-                let own = shards
-                    .iter_mut()
-                    .map(|s| s.next().expect("a shard per node"));
-                own.map(Vec::as_mut_slice).collect()
+                let own = ranges.iter_mut();
+                own.map(|r| r.next().expect("a range per node")).collect()
             })
             .collect();
         let results = pool::run_indexed_mut(
             self.config.host_threads,
+            map.rows() * inner,
             &mut node_slabs,
             |k, slabs| -> Result<f64, Cm2Error> {
                 let elems = map.rows_of(k) * inner;
@@ -719,13 +701,13 @@ impl MimdMachine {
     /// The reduction superstep body (see [`Machine::reduce`]).
     fn reduce_step(&mut self, src: MimdId, op: ReduceOp) -> Result<f64, Cm2Error> {
         let arr = self.array(src)?;
-        // The value folds in canonical element order — shard
-        // concatenation *is* row-major order — so it is bit-identical
+        // The value folds in canonical element order — the buffer *is*
+        // the row-major array — so it is bit-identical
         // to the single-image runtime's fold, the determinism the CM-5
         // control network guaranteed in hardware. Deliberately kept
         // sequential at any `host_threads`: parallel partial sums
         // would change the FP rounding, breaking bit-identity.
-        let elems = arr.shards.iter().flat_map(|s| s.iter().copied());
+        let elems = arr.data.iter().copied();
         let value = match op {
             ReduceOp::Sum => elems.sum(),
             ReduceOp::Max => elems.fold(f64::NEG_INFINITY, f64::max),
@@ -814,15 +796,10 @@ impl MimdMachine {
     /// [`Machine::host_read_elem`]).
     fn host_read_step(&mut self, id: MimdId, flat: usize) -> Result<f64, Cm2Error> {
         let arr = self.array(id)?;
-        if flat >= arr.total() {
+        let Some(&v) = arr.data.get(flat) else {
             return Err(Cm2Error::Runtime(format!("element {flat} out of range")));
-        }
-        let inner = arr.inner();
-        let map = arr.map(self.config.nodes);
-        let r = flat / inner.max(1);
-        let owner = map.owner(r);
-        let local = flat - map.row_start(owner) * inner;
-        let v = arr.shards[owner][local];
+        };
+        let owner = arr.map(self.config.nodes).owner(flat / arr.inner());
         self.charge_host_ops(1);
         self.deliver(vec![Message {
             src: owner,
@@ -838,17 +815,12 @@ impl MimdMachine {
     /// [`Machine::host_write_elem`]).
     fn host_write_step(&mut self, id: MimdId, flat: usize, v: f64) -> Result<(), Cm2Error> {
         let nodes = self.config.nodes;
-        let (owner, local) = {
-            let arr = self.array(id)?;
-            if flat >= arr.total() {
-                return Err(Cm2Error::Runtime(format!("element {flat} out of range")));
-            }
-            let inner = arr.inner();
-            let map = arr.map(nodes);
-            let owner = map.owner(flat / inner.max(1));
-            (owner, flat - map.row_start(owner) * inner)
+        let arr = self.array_mut(id)?;
+        let Some(slot) = arr.data.get_mut(flat) else {
+            return Err(Cm2Error::Runtime(format!("element {flat} out of range")));
         };
-        self.arrays.get_mut(&id.0).expect("checked above").shards[owner][local] = v;
+        *slot = v;
+        let owner = arr.map(nodes).owner(flat / arr.inner());
         self.charge_host_ops(1);
         self.deliver(vec![Message {
             src: HOST,
@@ -865,43 +837,45 @@ impl Machine for MimdMachine {
     type Id = MimdId;
 
     fn alloc_with_bounds(&mut self, dims: &[usize], lower: &[i64]) -> MimdId {
-        self.alloc_sharded(dims, lower, None)
+        let total = dims.iter().product();
+        self.adopt(dims.to_vec(), lower.to_vec(), vec![0.0; total])
     }
 
     fn alloc_from(&mut self, dims: &[usize], data: Vec<f64>) -> MimdId {
-        self.alloc_sharded(dims, &vec![1; dims.len()], Some(data))
+        self.adopt(dims.to_vec(), vec![1; dims.len()], data)
     }
 
     fn free(&mut self, id: MimdId) -> Result<(), Cm2Error> {
-        self.arrays
-            .remove(&id.0)
-            .map(|_| ())
-            .ok_or_else(|| Cm2Error::Runtime(format!("stale MIMD array handle {:?}", id)))
+        self.take(id).map(drop)
     }
 
     fn read(&self, id: MimdId) -> Result<Vec<f64>, Cm2Error> {
-        Ok(self.array(id)?.gather())
+        Ok(self.array(id)?.data.clone())
     }
 
     fn write(&mut self, id: MimdId, data: &[f64]) -> Result<(), Cm2Error> {
-        let nodes = self.config.nodes;
-        let (map, inner, total) = {
-            let arr = self.array(id)?;
-            (arr.map(nodes), arr.inner(), arr.total())
-        };
-        if data.len() != total {
-            return Err(Cm2Error::Runtime(format!(
-                "write length {} disagrees with array size {total}",
-                data.len()
-            )));
-        }
-        let arr = self.arrays.get_mut(&id.0).expect("checked above");
-        for (k, shard) in arr.shards.iter_mut().enumerate() {
-            let lo = map.row_start(k) * inner;
-            let hi = map.row_end(k) * inner;
-            shard.copy_from_slice(&data[lo..hi]);
+        let arr = self.array_mut(id)?;
+        check_write(data.len(), arr.data.len())?;
+        arr.data.copy_from_slice(data);
+        Ok(())
+    }
+
+    // `read`, `write` and `free` are no runtime calls here — no
+    // superstep, no message, no charge — so neither are their moves.
+
+    fn assign(&mut self, dst: MimdId, tmp: MimdId) -> Result<(), Cm2Error> {
+        let moving = self.array(tmp)?.data.len();
+        check_write(moving, self.array(dst)?.data.len())?;
+        let data = self.take(tmp)?;
+        if dst != tmp {
+            self.array_mut(dst)?.data = data;
         }
         Ok(())
+    }
+
+    fn take(&mut self, id: MimdId) -> Result<Vec<f64>, Cm2Error> {
+        let arr = self.arrays.remove(&id.0).ok_or_else(|| stale(id))?;
+        Ok(arr.data)
     }
 
     fn dispatch(
@@ -940,15 +914,8 @@ impl Machine for MimdMachine {
         }
         // Coordinates are a function of the global element index, so
         // every node generates its slab locally — no messages.
-        let total: usize = dims.iter().product();
-        let stride: usize = dims[axis + 1..].iter().product();
-        let extent = dims[axis];
-        let mut data = Vec::with_capacity(total);
-        for flat in 0..total {
-            let coord = (flat / stride) % extent;
-            data.push((lower[axis] + coord as i64) as f64);
-        }
-        let id = self.alloc_sharded(dims, lower, Some(data));
+        let data = coordinate_data(dims, lower, axis);
+        let id = self.adopt(dims.to_vec(), lower.to_vec(), data);
         let map = ShardMap::new(dims.first().copied().unwrap_or(1), self.config.nodes);
         let inner: usize = dims.iter().skip(1).product();
         let busy: Vec<f64> = (0..self.config.nodes)
@@ -1067,7 +1034,7 @@ mod tests {
             ids.sort_unstable();
             let finals: Vec<Vec<u64>> = ids
                 .iter()
-                .map(|id| m.arrays[id].gather().iter().map(|x| x.to_bits()).collect())
+                .map(|id| m.arrays[id].data.iter().map(|x| x.to_bits()).collect())
                 .collect();
             (m.take_trace().unwrap().digest(), finals, m.stats().clone())
         };

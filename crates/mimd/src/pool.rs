@@ -2,9 +2,9 @@
 //!
 //! The MIMD engine's supersteps are bulk-synchronous: between two
 //! barriers every simulated node computes independently, and nothing is
-//! observable until the barrier merges the results. [`run_indexed`]
-//! exploits exactly that window — it maps a pure function over the node
-//! indices `0..n` on up to `host_threads` host workers and returns the
+//! observable until the barrier merges the results. [`run_indexed_mut`]
+//! exploits exactly that window — it maps a pure function over the
+//! nodes' own state on up to `host_threads` host workers and returns the
 //! results **in index order**, so the caller's merge loop is identical
 //! to the sequential one and every downstream artifact (finals,
 //! telemetry, trace digests) stays bit-identical at any thread count.
@@ -12,45 +12,45 @@
 //! Determinism comes from the structure, not from luck:
 //!
 //! * each worker owns a *contiguous* chunk of the index space
-//!   (`[w·n/workers, (w+1)·n/workers)`), carved out of the result
-//!   buffer with `split_at_mut` — no sharing, no locks, no atomics;
+//!   (`[w·n/workers, (w+1)·n/workers)`), carved out of the items and
+//!   the result buffer with `split_at_mut` — no sharing, no locks, no
+//!   atomics;
 //! * workers never touch shared mutable state; the closure gets an
-//!   index (and, in [`run_indexed_mut`], that index's own item) and
-//!   returns a value;
+//!   index and that index's own item, and returns a value;
 //! * the scope joins every worker before results are read, and results
 //!   are consumed in index order regardless of which worker finished
 //!   first.
 //!
 //! With `host_threads <= 1` (the default) no threads are spawned at
 //! all — the sequential path is the exact same closure applied in the
-//! exact same order.
+//! exact same order. The same path runs a superstep too small to pay
+//! for its threads ([`PAR_MIN_ELEMS`]), at any `host_threads`.
 
-/// Map `f` over `0..n`, computing on up to `host_threads` workers, and
-/// return the results in index order.
+/// The superstep size, in array elements, below which the pool runs
+/// inline: spawning and joining scoped workers costs more than
+/// splitting so little work saves. Chosen from the measured crossover
+/// (EXPERIMENTS.md, "Host clock — PR 14"); a constant, not a setting —
+/// like the thread count it decides only where the closure runs, never
+/// what it computes.
+pub const PAR_MIN_ELEMS: usize = 65_536;
+
+/// Map `f` over per-index state, computing on up to `host_threads`
+/// workers, and return the results **in index order**: index `i` gets
+/// `&mut items[i]` and nothing else, so each simulated node can update
+/// its own storage in place. `elems` is the superstep's size in array
+/// elements, all nodes together.
 ///
 /// `f` must be `Sync` (shared by reference across workers) and its
 /// results `Send` (moved back to the caller). Panics in `f` propagate
 /// to the caller, as with sequential iteration.
-pub fn run_indexed<R, F>(host_threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    run_indexed_mut(host_threads, &mut vec![(); n], |i, ()| f(i))
-}
-
-/// [`run_indexed`] over per-index state: index `i` gets `&mut items[i]`
-/// and nothing else, so each simulated node can update its own storage
-/// in place. The items are carved up with the same contiguous chunks as
-/// the results.
-pub fn run_indexed_mut<T, R, F>(host_threads: usize, items: &mut [T], f: F) -> Vec<R>
+pub fn run_indexed_mut<T, R, F>(host_threads: usize, elems: usize, items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
     let n = items.len();
-    if host_threads <= 1 || n <= 1 {
+    if host_threads <= 1 || n <= 1 || elems < PAR_MIN_ELEMS {
         return items
             .iter_mut()
             .enumerate()
@@ -93,6 +93,15 @@ where
 mod tests {
     use super::*;
 
+    /// The pool over bare indices, sized so the workers really spawn.
+    fn run_indexed<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
+    where
+        R: Send,
+        F: Fn(usize) -> R + Sync,
+    {
+        run_indexed_mut(threads, PAR_MIN_ELEMS, &mut vec![(); n], |i, ()| f(i))
+    }
+
     #[test]
     fn preserves_index_order() {
         for threads in [1, 2, 3, 8, 64] {
@@ -121,7 +130,7 @@ mod tests {
     fn each_index_mutates_only_its_own_item() {
         for threads in [1, 2, 3, 8] {
             let mut items: Vec<Vec<usize>> = (0..11).map(|i| vec![i]).collect();
-            let out = run_indexed_mut(threads, &mut items, |i, item| {
+            let out = run_indexed_mut(threads, PAR_MIN_ELEMS, &mut items, |i, item| {
                 item.push(i * 10);
                 item.len()
             });

@@ -5,9 +5,11 @@
 //! of an array whose outer extent is `d₀`. Two consequences the rest of
 //! the engine leans on:
 //!
-//! * concatenating the shards in node order reproduces the row-major
-//!   element order exactly, so gathers, reductions in canonical order
-//!   and whole-array reads need no permutation;
+//! * the slabs in node order *are* the row-major array, so the engine
+//!   keeps each array as one row-major buffer in which node `k` owns
+//!   the element range [`ShardMap::elems`]: reductions in canonical
+//!   order and whole-array reads need no permutation, and a node is
+//!   lent its slab as a disjoint `&mut` range ([`ShardMap::split_mut`]);
 //! * arrays of the same shape shard identically, so an elementwise
 //!   dispatch never needs communication — each node already holds
 //!   matching slabs of every argument.
@@ -51,6 +53,31 @@ impl ShardMap {
     /// nodes than rows).
     pub fn rows_of(&self, k: usize) -> usize {
         self.row_end(k) - self.row_start(k)
+    }
+
+    /// Node `k`'s element range in the row-major buffer of an array
+    /// whose rows hold `inner` elements each. The ranges of nodes
+    /// `0..nodes` tile `0..rows·inner` in order.
+    pub fn elems(&self, k: usize, inner: usize) -> std::ops::Range<usize> {
+        self.row_start(k) * inner..self.row_end(k) * inner
+    }
+
+    /// Carve such a buffer into the nodes' disjoint ranges, node order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `data` is not `rows·inner` elements long.
+    pub fn split_mut<'a>(&self, inner: usize, data: &'a mut [f64]) -> Vec<&'a mut [f64]> {
+        assert_eq!(data.len(), self.rows * inner, "buffer must hold the array");
+        let mut rest = data;
+        (0..self.nodes)
+            .map(|k| {
+                let (own, tail) =
+                    std::mem::take(&mut rest).split_at_mut(self.elems(k, inner).len());
+                rest = tail;
+                own
+            })
+            .collect()
     }
 
     /// The node owning row `r`.
