@@ -586,11 +586,8 @@ fn redundant_comm(root: &Imp, index: &StmtIndex<'_>, out: &mut Vec<(usize, Diagn
                 continue;
             }
             let v = &a.sig.0;
-            let (sa, sb) = (
-                reaching.at_move.get(&a.stmt).map(|d| d.state(v)),
-                reaching.at_move.get(&b.stmt).map(|d| d.state(v)),
-            );
-            if sa.is_none() || sa != sb {
+            let sa = reaching.state_at(a.stmt, v);
+            if sa.is_none() || sa != reaching.state_at(b.stmt, v) {
                 continue;
             }
             let killed = def_sites

@@ -29,10 +29,12 @@ pub mod index;
 pub mod lint;
 pub mod liveness;
 pub mod reaching;
+#[cfg(test)]
+mod reaching_reference;
 
 pub use audit::AuditFacts;
 pub use comm::{comm_lints, comm_plan, price, CommFacts, CommKind, CommOp, CommPlan, PricedPlan};
 pub use index::StmtIndex;
 pub use lint::{lint, lint_with, Diagnostic, LintReport, WarnCode};
 pub use liveness::{faint_temps, DeadStore, Liveness};
-pub use reaching::{DefId, DefState, Defs, ReachingFacts};
+pub use reaching::{DefId, DefState, ReachingFacts};

@@ -231,10 +231,9 @@ fn masked_only_whole_array_read(
     stmt: usize,
     var: &str,
 ) -> bool {
-    let Some(entry) = reaching.at_move.get(&stmt) else {
+    let Some(state) = reaching.state_at(stmt, var) else {
         return false;
     };
-    let state = entry.state(var);
     if state.defs.is_empty() || !state.maybe_uninit {
         return false;
     }

@@ -12,8 +12,16 @@
 //! solved by fixpoint iteration with facts recorded only from the
 //! converged state, so a use inside a `WHILE` body sees the definitions
 //! flowing around the back edge.
+//!
+//! The state at a program point is a chunked copy-on-write table over a
+//! dense numbering of the variables the tree defines (`Defs`), so
+//! the snapshot kept for every `MOVE` shares everything the `MOVE` did
+//! not change; [`ReachingFacts::state_at`] is the one query. The
+//! `BTreeMap` implementation this replaced is `reaching_reference.rs`,
+//! compiled for tests only, and a property test holds the two equal.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 
 use f90y_nir::imp::LValue;
 use f90y_nir::shape::DomainEnv;
@@ -34,14 +42,17 @@ pub struct DefState {
     pub maybe_uninit: bool,
 }
 
+/// What [`ReachingFacts::state_at`] answers for a variable with no slot.
+static UNINIT: DefState = DefState {
+    defs: BTreeSet::new(),
+    maybe_uninit: true,
+};
+
 impl DefState {
     /// The state of a variable never defined: no sites, maybe uninit.
     #[must_use]
     pub fn uninit() -> Self {
-        DefState {
-            defs: BTreeSet::new(),
-            maybe_uninit: true,
-        }
+        UNINIT.clone()
     }
 
     /// The state after one dominating strong definition.
@@ -53,7 +64,7 @@ impl DefState {
         }
     }
 
-    fn join(&self, other: &DefState) -> DefState {
+    pub(crate) fn join(&self, other: &DefState) -> DefState {
         DefState {
             defs: self.defs.union(&other.defs).copied().collect(),
             maybe_uninit: self.maybe_uninit || other.maybe_uninit,
@@ -61,45 +72,82 @@ impl DefState {
     }
 }
 
-/// Per-variable reaching-definition states at one program point.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Defs {
-    map: BTreeMap<Ident, DefState>,
+/// One variable's state; `None` is the uninitialised state (a stored
+/// state always has at least one definition site, so the encoding is
+/// unique and `==` on slots is `==` on states).
+type Slot = Option<Arc<DefState>>;
+
+const CHUNK: usize = 32;
+type Chunk = [Slot; CHUNK];
+
+/// Per-variable reaching-definition states at one program point, indexed
+/// by the dense variable numbers of one [`ReachingFacts::compute`] run.
+///
+/// A chunked copy-on-write table: a clone (the snapshot taken at every
+/// `MOVE`) bumps one reference count per chunk, a write copies the one
+/// chunk of pointers it lands in, and `join`/`==` skip every chunk and
+/// slot that is the same allocation on both sides (`Arc`'s `==` checks
+/// the pointer first because the payloads are `Eq`).
+#[derive(Clone, PartialEq, Eq)]
+struct Defs {
+    chunks: Vec<Arc<Chunk>>,
 }
 
 impl Defs {
-    /// The state of one variable; an unknown variable is uninitialised.
-    #[must_use]
-    pub fn state(&self, id: &str) -> DefState {
-        self.map.get(id).cloned().unwrap_or_else(DefState::uninit)
+    /// Every one of `vars` variables uninitialised.
+    fn new(vars: usize) -> Defs {
+        let empty: Arc<Chunk> = Arc::new(std::array::from_fn(|_| None));
+        Defs {
+            chunks: vec![empty; vars.div_ceil(CHUNK)],
+        }
     }
 
-    /// Pointwise join; a variable absent on one side is uninitialised
-    /// there.
-    #[must_use]
-    pub fn join(&self, other: &Defs) -> Defs {
-        let mut map = BTreeMap::new();
-        for (id, a) in &self.map {
-            let joined = match other.map.get(id) {
-                Some(b) => a.join(b),
-                None => a.join(&DefState::uninit()),
-            };
-            map.insert(id.clone(), joined);
-        }
-        for (id, b) in &other.map {
-            if !self.map.contains_key(id) {
-                map.insert(id.clone(), b.join(&DefState::uninit()));
-            }
-        }
-        Defs { map }
+    fn slot(&self, var: usize) -> &Slot {
+        &self.chunks[var / CHUNK][var % CHUNK]
+    }
+
+    fn state(&self, var: usize) -> &DefState {
+        self.slot(var).as_deref().unwrap_or(&UNINIT)
+    }
+
+    fn set(&mut self, var: usize, slot: Slot) {
+        Arc::make_mut(&mut self.chunks[var / CHUNK])[var % CHUNK] = slot;
+    }
+
+    /// Pointwise join; `None` joins as the uninitialised state.
+    fn join(&self, other: &Defs) -> Defs {
+        let join_slot = |a: &Slot, b: &Slot| match (a, b) {
+            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => Some(Arc::clone(a)),
+            (Some(a), Some(b)) => Some(Arc::new(a.join(b))),
+            (Some(s), None) | (None, Some(s)) if s.maybe_uninit => Some(Arc::clone(s)),
+            (Some(s), None) | (None, Some(s)) => Some(Arc::new(s.join(&UNINIT))),
+            (None, None) => None,
+        };
+        let chunks = self
+            .chunks
+            .iter()
+            .zip(&other.chunks)
+            .map(|(a, b)| {
+                if Arc::ptr_eq(a, b) {
+                    Arc::clone(a)
+                } else {
+                    Arc::new(std::array::from_fn(|i| join_slot(&a[i], &b[i])))
+                }
+            })
+            .collect();
+        Defs { chunks }
     }
 }
 
 /// The result of the reaching-definitions analysis over one tree.
 pub struct ReachingFacts {
+    /// Dense number of every variable the tree defines (`MOVE` targets
+    /// and `WITH_DECL` bindings); any other variable is uninitialised
+    /// everywhere.
+    vars: HashMap<Ident, usize>,
     /// Entry state (before any clause executes) of every `MOVE`, by
     /// statement id.
-    pub at_move: HashMap<usize, Defs>,
+    at_move: HashMap<usize, Defs>,
     /// `(statement id, variable)` pairs where a read may see no
     /// definition along some path.
     pub uninit_uses: BTreeSet<(usize, Ident)>,
@@ -115,19 +163,47 @@ impl ReachingFacts {
     /// been built from the same `root`).
     #[must_use]
     pub fn compute(root: &Imp, index: &StmtIndex<'_>) -> ReachingFacts {
+        let mut vars: HashMap<Ident, usize> = HashMap::new();
+        let mut number = |id: &Ident| {
+            if !vars.contains_key(id) {
+                vars.insert(id.clone(), vars.len());
+            }
+        };
+        for id in 0..index.len() {
+            match index.node(id) {
+                Imp::Move(clauses) => clauses.iter().for_each(|c| number(c.dst.ident())),
+                Imp::WithDecl(d, _) => d.bindings().iter().for_each(|(name, _, _)| number(name)),
+                _ => {}
+            }
+        }
+        let entry = Defs::new(vars.len());
         let mut a = Analyzer {
             index,
             domains: Vec::new(),
             record: true,
             facts: ReachingFacts {
+                vars,
                 at_move: HashMap::new(),
                 uninit_uses: BTreeSet::new(),
                 scalars: HashSet::new(),
                 fact_count: 0,
             },
         };
-        a.flow(root, Defs::default());
+        a.flow(root, entry);
         a.facts
+    }
+
+    /// The definitions of `var` that may reach the entry of the `MOVE`
+    /// with statement id `stmt` (before any of its clauses executes);
+    /// `None` when `stmt` is not a `MOVE` of the analysed tree. A
+    /// variable the tree never defines is uninitialised.
+    #[must_use]
+    pub fn state_at(&self, stmt: usize, var: &str) -> Option<&DefState> {
+        Some(self.state_in(self.at_move.get(&stmt)?, var))
+    }
+
+    fn state_in<'d>(&self, defs: &'d Defs, var: &str) -> &'d DefState {
+        self.vars.get(var).map_or(&UNINIT, |&n| defs.state(n))
     }
 }
 
@@ -144,22 +220,26 @@ impl Analyzer<'_, '_> {
         self.domains.iter().cloned().collect()
     }
 
+    /// The dense number of a variable the tree defines.
+    fn var(&self, id: &str) -> usize {
+        self.facts.vars[id]
+    }
+
     /// Record every variable read in `v` against `state`, flagging reads
     /// that may see no definition.
     fn record_reads(&mut self, stmt: usize, v: &Value, state: &Defs) {
-        let mut reads = Vec::new();
-        v.walk(&mut |node| match node {
-            Value::SVar(id) | Value::AVar(id, _) => reads.push(id.clone()),
-            _ => {}
-        });
-        for id in reads {
-            if self.record {
-                self.facts.fact_count += 1;
-                if state.state(&id).maybe_uninit {
-                    self.facts.uninit_uses.insert((stmt, id));
+        if !self.record {
+            return;
+        }
+        let facts = &mut self.facts;
+        v.walk(&mut |node| {
+            if let Value::SVar(id) | Value::AVar(id, _) = node {
+                facts.fact_count += 1;
+                if facts.state_in(state, id).maybe_uninit {
+                    facts.uninit_uses.insert((stmt, id.clone()));
                 }
             }
-        }
+        });
     }
 
     /// Forward transfer: the state after executing `imp` from `state`.
@@ -197,7 +277,7 @@ impl Analyzer<'_, '_> {
                             self.record_reads(id, ix, &out);
                         }
                     }
-                    let var = c.dst.ident().clone();
+                    let var = self.var(c.dst.ident());
                     let strong = c.is_unmasked()
                         && matches!(
                             &c.dst,
@@ -206,12 +286,14 @@ impl Analyzer<'_, '_> {
                     if self.record {
                         self.facts.fact_count += 1;
                     }
-                    if strong {
-                        out.map.insert(var, DefState::single((id, ci)));
+                    let def = if strong {
+                        DefState::single((id, ci))
                     } else {
-                        let entry = out.map.entry(var).or_insert_with(DefState::uninit);
-                        entry.defs.insert((id, ci));
-                    }
+                        let mut weak = out.state(var).clone();
+                        weak.defs.insert((id, ci));
+                        weak
+                    };
+                    out.set(var, Some(Arc::new(def)));
                 }
                 out
             }
@@ -258,31 +340,22 @@ impl Analyzer<'_, '_> {
                     if matches!(ty, Type::Scalar(_)) {
                         self.facts.scalars.insert((*name).clone());
                     }
-                    if let Some(v) = init {
+                    let def = init.map(|v| {
                         self.record_reads(id, v, &state);
                         if self.record {
                             self.facts.fact_count += 1;
                         }
-                        inner
-                            .map
-                            .insert((*name).clone(), DefState::single((id, bi)));
-                    } else {
-                        inner.map.insert((*name).clone(), DefState::uninit());
-                    }
+                        Arc::new(DefState::single((id, bi)))
+                    });
+                    inner.set(self.var(name), def);
                 }
                 let out = self.flow(b, inner);
                 // Restore the outer view of shadowed names; the locals
                 // go out of scope.
                 let mut restored = out;
                 for (name, _, _) in &bindings {
-                    match state.map.get(*name) {
-                        Some(prev) => {
-                            restored.map.insert((*name).clone(), prev.clone());
-                        }
-                        None => {
-                            restored.map.remove(*name);
-                        }
-                    }
+                    let var = self.var(name);
+                    restored.set(var, state.slot(var).clone());
                 }
                 restored
             }
@@ -447,9 +520,9 @@ mod tests {
             .find(|(_, v)| v == "x")
             .map(|(s, _)| *s)
             .unwrap();
-        let entry = f.at_move.get(&read_id).unwrap();
-        assert!(!entry.state("x").defs.is_empty());
-        assert!(entry.state("x").maybe_uninit);
+        let entry = f.state_at(read_id, "x").unwrap();
+        assert!(!entry.defs.is_empty());
+        assert!(entry.maybe_uninit);
     }
 
     #[test]
@@ -549,11 +622,12 @@ mod tests {
         );
         let index = StmtIndex::of(&p);
         let f = ReachingFacts::compute(&p, &index);
-        let mut move_ids: Vec<usize> = f.at_move.keys().copied().collect();
-        move_ids.sort_unstable();
+        let move_ids: Vec<usize> = (0..index.len())
+            .filter(|&s| f.state_at(s, "a").is_some())
+            .collect();
         assert_eq!(move_ids.len(), 4);
-        let t_def = f.at_move[&move_ids[1]].state("a");
-        let u_def = f.at_move[&move_ids[3]].state("a");
+        let t_def = f.state_at(move_ids[1], "a").unwrap();
+        let u_def = f.state_at(move_ids[3], "a").unwrap();
         assert_ne!(t_def, u_def);
         assert!(!t_def.maybe_uninit);
         assert!(!u_def.maybe_uninit);

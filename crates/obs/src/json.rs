@@ -281,12 +281,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| JsonError::at("invalid utf-8 in string", *pos))?;
-                let c = rest.chars().next().expect("nonempty by match arm");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next delimiter in one piece.
+                // Both delimiters are ASCII, so the run starts and ends
+                // on scalar boundaries of the `&str` `parse` was given.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| JsonError::at("invalid utf-8 in string", start))?;
+                out.push_str(run);
             }
         }
     }
@@ -360,6 +364,37 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").unwrap_err().offset.is_some());
         assert!(parse("\"\\q\"").is_err());
+    }
+
+    #[test]
+    fn string_error_offsets_are_byte_positions() {
+        // "é" is two bytes: the offsets count bytes, past the run.
+        let err = parse("\"aé").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("unterminated string", Some(4))
+        );
+        let err = parse("\"aé\\").unwrap_err();
+        assert_eq!((err.message.as_str(), err.offset), ("bad escape", Some(5)));
+        let err = parse("\"aé\\q\"").unwrap_err();
+        assert_eq!((err.message.as_str(), err.offset), ("bad escape", Some(5)));
+        let err = parse("\"\\u12").unwrap_err();
+        assert_eq!(
+            (err.message.as_str(), err.offset),
+            ("bad \\u escape", Some(2))
+        );
+    }
+
+    #[test]
+    fn a_two_megabyte_string_parses_in_linear_time() {
+        // Multi-byte scalars and escapes at every run boundary. With one
+        // `from_utf8` over the whole remaining document per character
+        // this is ~10^12 byte checks and does not finish.
+        let unit = "é\u{1F600}x\"\\\n\t→ plain ascii run ";
+        let value: String = unit.repeat(2 * 1024 * 1024 / unit.len() + 1);
+        assert!(value.len() > 2 * 1024 * 1024);
+        let doc = Json::Obj(vec![("src".into(), Json::Str(value))]);
+        assert_eq!(parse(&doc.to_string()).unwrap(), doc);
     }
 
     #[test]

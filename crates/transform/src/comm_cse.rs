@@ -122,12 +122,9 @@ fn still_available(
     canon: &str,
     src: &Value,
 ) -> bool {
-    let (Some(d1), Some(d2)) = (facts.at_move.get(&canon_sid), facts.at_move.get(&sid)) else {
-        return false;
-    };
     // The canonical temporary must be defined, here, by exactly its one
     // hoisted definition (clause 0 of that statement) on every path.
-    if d2.state(canon) != DefState::single((canon_sid, 0)) {
+    if facts.state_at(sid, canon) != Some(&DefState::single((canon_sid, 0))) {
         return false;
     }
     // Every variable the expression reads must see the same definitions
@@ -138,8 +135,10 @@ fn still_available(
     // rewrite between the hoists leaves both sets equal even though the
     // value changed.
     src.reads().iter().all(|v| {
-        let s2 = d2.state(v);
-        d1.state(v) == s2 && s2.defs.iter().all(|&(d, _)| !(canon_sid < d && d < sid))
+        let (Some(s1), Some(s2)) = (facts.state_at(canon_sid, v), facts.state_at(sid, v)) else {
+            return false;
+        };
+        s1 == s2 && s2.defs.iter().all(|&(d, _)| !(canon_sid < d && d < sid))
     })
 }
 

@@ -8,10 +8,14 @@
 //! wants (§4.2), and the `tmp0`/`tmp1`/`tmp2` names visible in its
 //! Figure 12 NIR excerpt.
 
-use f90y_nir::typecheck::{Checker, Mode};
-use f90y_nir::{Decl, FieldAction, Imp, LValue, MoveClause, NirError, Type, Value};
+use std::collections::HashSet;
 
-use crate::program::ProgramBody;
+use f90y_nir::typecheck::{Checker, Ctx, Mode, ValueType};
+use f90y_nir::{
+    Decl, FieldAction, Imp, LValue, MoveClause, NirError, ScalarType, Shape, Type, Value,
+};
+
+use crate::program::{resolve_type, Binder, ProgramBody};
 
 /// Run the pass over every statement; returns the number of temporaries
 /// introduced.
@@ -20,235 +24,210 @@ use crate::program::ProgramBody;
 ///
 /// Fails on static errors while typing hoisted calls.
 pub fn run(body: &mut ProgramBody) -> Result<usize, NirError> {
-    let mut counter = 0usize;
-    let mut introduced = 0usize;
-    let mut out: Vec<Imp> = Vec::with_capacity(body.stmts.len());
-    let stmts = std::mem::take(&mut body.stmts);
-    for stmt in stmts {
-        let mut prefix: Vec<Imp> = Vec::new();
-        let rewritten = rewrite_stmt(stmt, body, &mut counter, &mut prefix, &mut introduced)?;
-        out.extend(prefix);
-        out.push(rewritten);
-    }
-    body.stmts = out;
-    Ok(introduced)
+    let mut h = Hoister {
+        ctx: body.ctx()?,
+        taken: body.binders.iter().flat_map(binder_names).collect(),
+        body,
+        counter: 0,
+        introduced: 0,
+        prefix: Vec::new(),
+    };
+    let stmts = std::mem::take(&mut h.body.stmts);
+    h.body.stmts = h.rewrite_list(stmts)?;
+    Ok(h.introduced)
 }
 
-fn rewrite_stmt(
-    stmt: Imp,
-    body: &mut ProgramBody,
-    counter: &mut usize,
-    prefix: &mut Vec<Imp>,
-    introduced: &mut usize,
-) -> Result<Imp, NirError> {
-    match stmt {
-        Imp::Move(clauses) => {
-            let mut new_clauses = Vec::with_capacity(clauses.len());
-            for c in clauses {
-                // If the source IS a bare communication call into a
-                // whole-array unmasked target, it already is a
-                // communication phase; leave it.
-                let bare_comm = matches!(&c.src, Value::FcnCall(n, _) if is_comm(n))
-                    && c.is_unmasked()
-                    && matches!(c.dst, LValue::AVar(_, FieldAction::Everywhere));
-                if bare_comm {
-                    // Keep the outer call in place but still hoist any
-                    // communication nested in its arguments, and
-                    // materialise a composite array argument.
-                    let Value::FcnCall(name, args) = c.src else {
-                        unreachable!("bare_comm matched FcnCall")
-                    };
-                    let mut args: Vec<(Type, Value)> = args
-                        .into_iter()
-                        .map(|(t, a)| Ok((t, hoist_value(a, body, counter, prefix, introduced)?)))
-                        .collect::<Result<_, NirError>>()?;
-                    if let Some((_, arg0)) = args.first() {
-                        let needs_temp = !matches!(
-                            arg0,
-                            Value::AVar(_, FieldAction::Everywhere) | Value::Scalar(_)
-                        );
-                        if needs_temp {
-                            let arg0 = args[0].1.clone();
-                            if let Some(tmp) = materialize(arg0, body, counter, prefix, introduced)?
-                            {
-                                args[0].1 = tmp;
-                            }
+/// The identifiers one binder declares.
+fn binder_names(b: &Binder) -> Vec<String> {
+    match b {
+        Binder::Decls(d) => d
+            .bindings()
+            .into_iter()
+            .map(|(id, _, _)| id.clone())
+            .collect(),
+        Binder::Domain(..) => Vec::new(),
+    }
+}
+
+/// The state of one run: the body being rewritten and everything typing
+/// a hoisted call and naming its temporary needs, built once.
+struct Hoister<'b> {
+    body: &'b mut ProgramBody,
+    /// `body.ctx()` as of entry, extended by every temporary declared
+    /// since. Temporaries are fresh names in the one declaration scope,
+    /// so this is what `body.ctx()` would rebuild at any point.
+    ctx: Ctx,
+    /// Every name the binders declared on entry.
+    taken: HashSet<String>,
+    /// Next `tmpN` suffix to try; only grows, so a temporary's own name
+    /// never comes up again.
+    counter: usize,
+    introduced: usize,
+    /// `tmp = …` moves to emit ahead of the statement being rewritten.
+    prefix: Vec<Imp>,
+}
+
+impl Hoister<'_> {
+    /// Rewrite a statement list, each statement preceded by the moves
+    /// hoisted out of it.
+    fn rewrite_list(&mut self, stmts: Vec<Imp>) -> Result<Vec<Imp>, NirError> {
+        let outer = std::mem::take(&mut self.prefix);
+        let mut out = Vec::with_capacity(stmts.len());
+        for stmt in stmts {
+            let rewritten = self.rewrite_stmt(stmt)?;
+            out.append(&mut self.prefix);
+            out.push(rewritten);
+        }
+        self.prefix = outer;
+        Ok(out)
+    }
+
+    /// A nested body gets its prefix *inside* it (hoisting across a
+    /// branch or loop head would compute unconditionally).
+    fn rewrite_nested(&mut self, stmt: Imp) -> Result<Box<Imp>, NirError> {
+        Ok(Box::new(Imp::seq(self.rewrite_list(vec![stmt])?)))
+    }
+
+    fn rewrite_stmt(&mut self, stmt: Imp) -> Result<Imp, NirError> {
+        match stmt {
+            Imp::Move(clauses) => {
+                let mut new_clauses = Vec::with_capacity(clauses.len());
+                for c in clauses {
+                    // If the source IS a bare communication call into a
+                    // whole-array unmasked target, it already is a
+                    // communication phase: keep the outer call in place
+                    // but still hoist any communication nested in its
+                    // arguments, and materialise a composite array
+                    // argument.
+                    let bare_comm = matches!(&c.src, Value::FcnCall(n, _) if is_comm(n))
+                        && c.is_unmasked()
+                        && matches!(c.dst, LValue::AVar(_, FieldAction::Everywhere));
+                    let (mask, src) = match c.src {
+                        Value::FcnCall(name, args) if bare_comm => {
+                            (c.mask, Value::FcnCall(name, self.comm_args(args)?))
                         }
-                    }
+                        src => (self.hoist_value(c.mask)?, self.hoist_value(src)?),
+                    };
                     new_clauses.push(MoveClause {
-                        mask: c.mask,
-                        src: Value::FcnCall(name, args),
+                        mask,
+                        src,
                         dst: c.dst,
                     });
-                    continue;
                 }
-                let mask = hoist_value(c.mask, body, counter, prefix, introduced)?;
-                let src = hoist_value(c.src, body, counter, prefix, introduced)?;
-                new_clauses.push(MoveClause {
-                    mask,
-                    src,
-                    dst: c.dst,
-                });
+                Ok(Imp::Move(new_clauses))
             }
-            Ok(Imp::Move(new_clauses))
-        }
-        Imp::IfThenElse(c, t, e) => {
-            let c = hoist_value(c, body, counter, prefix, introduced)?;
-            // Branch bodies get their own prefixes *inside* the branch
-            // (hoisting across a branch would compute unconditionally).
-            let t = rewrite_nested(*t, body, counter, introduced)?;
-            let e = rewrite_nested(*e, body, counter, introduced)?;
-            Ok(Imp::IfThenElse(c, Box::new(t), Box::new(e)))
-        }
-        Imp::While(c, b) => {
+            Imp::IfThenElse(c, t, e) => {
+                let c = self.hoist_value(c)?;
+                let t = self.rewrite_nested(*t)?;
+                let e = self.rewrite_nested(*e)?;
+                Ok(Imp::IfThenElse(c, t, e))
+            }
             // The condition re-evaluates each iteration: hoisting it out
             // once would be wrong. Communication inside scalar loop
             // conditions is left in place (the host evaluates it).
-            let b = rewrite_nested(*b, body, counter, introduced)?;
-            Ok(Imp::While(c, Box::new(b)))
+            Imp::While(c, b) => Ok(Imp::While(c, self.rewrite_nested(*b)?)),
+            Imp::Do(dom, shape, b) => Ok(Imp::Do(dom, shape, self.rewrite_nested(*b)?)),
+            Imp::Sequentially(xs) => Ok(Imp::seq(self.rewrite_list(xs)?)),
+            other => Ok(other),
         }
-        Imp::Do(dom, shape, b) => {
-            let b = rewrite_nested(*b, body, counter, introduced)?;
-            Ok(Imp::Do(dom, shape, Box::new(b)))
-        }
-        Imp::Sequentially(xs) => {
-            let mut out = Vec::with_capacity(xs.len());
-            for x in xs {
-                let mut p = Vec::new();
-                let r = rewrite_stmt(x, body, counter, &mut p, introduced)?;
-                out.extend(p);
-                out.push(r);
-            }
-            Ok(Imp::seq(out))
-        }
-        other => Ok(other),
     }
-}
 
-fn rewrite_nested(
-    stmt: Imp,
-    body: &mut ProgramBody,
-    counter: &mut usize,
-    introduced: &mut usize,
-) -> Result<Imp, NirError> {
-    let mut prefix = Vec::new();
-    let r = rewrite_stmt(stmt, body, counter, &mut prefix, introduced)?;
-    prefix.push(r);
-    Ok(Imp::seq(prefix))
+    /// The arguments of a communication call, ready to communicate:
+    /// nested communication hoisted first, then a composite array
+    /// argument (`CSHIFT(c + a, …)`) materialised into its own temporary
+    /// (a computation phase).
+    fn comm_args(&mut self, args: Vec<(Type, Value)>) -> Result<Vec<(Type, Value)>, NirError> {
+        let mut args: Vec<(Type, Value)> = args
+            .into_iter()
+            .map(|(t, a)| Ok((t, self.hoist_value(a)?)))
+            .collect::<Result<_, NirError>>()?;
+        if let Some((_, arg0)) = args.first_mut() {
+            let simple = matches!(
+                arg0,
+                Value::AVar(_, FieldAction::Everywhere) | Value::Scalar(_)
+            );
+            // Left in place when it cannot be typed in the binder-only
+            // context or is scalar.
+            if let (false, Ok(vt)) = (simple, self.type_of(arg0)) {
+                if let Some(shape) = vt.shape {
+                    *arg0 = self.hoist_to_temp(shape, vt.elem, arg0.clone())?;
+                }
+            }
+        }
+        Ok(args)
+    }
+
+    /// Hoist communication calls (post-order) out of a value, emitting
+    /// `tmp = call` moves into the prefix.
+    fn hoist_value(&mut self, v: Value) -> Result<Value, NirError> {
+        match v {
+            Value::FcnCall(name, args) if is_comm(&name) => {
+                let call = Value::FcnCall(name, self.comm_args(args)?);
+                // Type the call to size the temporary. If typing fails
+                // here — e.g. the shift amount references an enclosing DO
+                // index, which this binder-only context cannot see —
+                // leave the call in place for the host path rather than
+                // mis-hoisting.
+                let Ok(vt) = self.type_of(&call) else {
+                    return Ok(call);
+                };
+                let shape = vt
+                    .shape
+                    .ok_or_else(|| NirError::Shape("communication intrinsic on a scalar".into()))?;
+                self.hoist_to_temp(shape, vt.elem, call)
+            }
+            Value::FcnCall(name, args) => {
+                let args = args
+                    .into_iter()
+                    .map(|(t, a)| Ok((t, self.hoist_value(a)?)))
+                    .collect::<Result<_, NirError>>()?;
+                Ok(Value::FcnCall(name, args))
+            }
+            Value::Unary(op, a) => Ok(Value::Unary(op, Box::new(self.hoist_value(*a)?))),
+            Value::Binary(op, a, b) => Ok(Value::Binary(
+                op,
+                Box::new(self.hoist_value(*a)?),
+                Box::new(self.hoist_value(*b)?),
+            )),
+            other => Ok(other),
+        }
+    }
+
+    fn type_of(&mut self, v: &Value) -> Result<ValueType, NirError> {
+        Checker::new(Mode::Both).type_of(v, &mut self.ctx)
+    }
+
+    /// Declare a fresh array temporary — in the body and in the typing
+    /// context —, emit `tmp = v` ahead of the statement being rewritten
+    /// and return the whole-array read of the temporary.
+    fn hoist_to_temp(
+        &mut self,
+        shape: Shape,
+        elem: ScalarType,
+        v: Value,
+    ) -> Result<Value, NirError> {
+        let tmp = loop {
+            let name = format!("tmp{}", self.counter);
+            self.counter += 1;
+            if !self.taken.contains(&name) {
+                break name;
+            }
+        };
+        let ty = Type::dfield(shape, Type::Scalar(elem));
+        self.ctx
+            .bind_var(tmp.clone(), resolve_type(&ty, &self.ctx)?);
+        self.body.add_temp_decl(Decl::Decl(tmp.clone(), ty));
+        self.prefix.push(Imp::Move(vec![MoveClause::unmasked(
+            LValue::AVar(tmp.clone(), FieldAction::Everywhere),
+            v,
+        )]));
+        self.introduced += 1;
+        Ok(Value::AVar(tmp, FieldAction::Everywhere))
+    }
 }
 
 fn is_comm(name: &str) -> bool {
     matches!(name, "cshift" | "eoshift")
-}
-
-/// Materialise an array-valued expression into a fresh temporary,
-/// emitting `tmp = expr` into `prefix`. Returns `None` (leaving the
-/// expression in place) when the expression cannot be typed in the
-/// binder-only context or is scalar.
-fn materialize(
-    v: Value,
-    body: &mut ProgramBody,
-    counter: &mut usize,
-    prefix: &mut Vec<Imp>,
-    introduced: &mut usize,
-) -> Result<Option<Value>, NirError> {
-    let mut ctx = body.ctx()?;
-    let vt = match Checker::new(Mode::Both).type_of(&v, &mut ctx) {
-        Ok(vt) => vt,
-        Err(_) => return Ok(None),
-    };
-    let Some(shape) = vt.shape else {
-        return Ok(None);
-    };
-    let tmp = body.fresh_temp(counter);
-    body.add_temp_decl(Decl::Decl(
-        tmp.clone(),
-        Type::dfield(shape, Type::Scalar(vt.elem)),
-    ));
-    prefix.push(Imp::Move(vec![MoveClause::unmasked(
-        LValue::AVar(tmp.clone(), FieldAction::Everywhere),
-        v,
-    )]));
-    *introduced += 1;
-    Ok(Some(Value::AVar(tmp, FieldAction::Everywhere)))
-}
-
-/// Hoist communication calls (post-order) out of a value, emitting
-/// `tmp = call` moves into `prefix`.
-fn hoist_value(
-    v: Value,
-    body: &mut ProgramBody,
-    counter: &mut usize,
-    prefix: &mut Vec<Imp>,
-    introduced: &mut usize,
-) -> Result<Value, NirError> {
-    match v {
-        Value::FcnCall(name, args) if is_comm(&name) => {
-            // Hoist nested communication in the array argument first.
-            let mut args: Vec<(Type, Value)> = args
-                .into_iter()
-                .map(|(t, a)| Ok((t, hoist_value(a, body, counter, prefix, introduced)?)))
-                .collect::<Result<_, NirError>>()?;
-            // A composite array argument (`CSHIFT(c + a, …)`) must be
-            // computed before it can be communicated: materialise it
-            // into its own temporary (a computation phase).
-            if let Some((_, arg0)) = args.first() {
-                let needs_temp = !matches!(
-                    arg0,
-                    Value::AVar(_, FieldAction::Everywhere) | Value::Scalar(_)
-                );
-                if needs_temp {
-                    let arg0 = args[0].1.clone();
-                    if let Some(tmp) = materialize(arg0.clone(), body, counter, prefix, introduced)?
-                    {
-                        args[0].1 = tmp;
-                    }
-                }
-            }
-            let call = Value::FcnCall(name, args);
-            // Type the call to size the temporary. If typing fails here
-            // — e.g. the shift amount references an enclosing DO index,
-            // which this binder-only context cannot see — leave the call
-            // in place for the host path rather than mis-hoisting.
-            let mut ctx = body.ctx()?;
-            let vt = match Checker::new(Mode::Both).type_of(&call, &mut ctx) {
-                Ok(vt) => vt,
-                Err(_) => return Ok(call),
-            };
-            let shape = vt
-                .shape
-                .ok_or_else(|| NirError::Shape("communication intrinsic on a scalar".into()))?;
-            let elem = vt.elem;
-            let tmp = body.fresh_temp(counter);
-            body.add_temp_decl(Decl::Decl(
-                tmp.clone(),
-                Type::dfield(shape, Type::Scalar(elem)),
-            ));
-            prefix.push(Imp::Move(vec![MoveClause::unmasked(
-                LValue::AVar(tmp.clone(), FieldAction::Everywhere),
-                call,
-            )]));
-            *introduced += 1;
-            Ok(Value::AVar(tmp, FieldAction::Everywhere))
-        }
-        Value::FcnCall(name, args) => {
-            let args = args
-                .into_iter()
-                .map(|(t, a)| Ok((t, hoist_value(a, body, counter, prefix, introduced)?)))
-                .collect::<Result<_, NirError>>()?;
-            Ok(Value::FcnCall(name, args))
-        }
-        Value::Unary(op, a) => Ok(Value::Unary(
-            op,
-            Box::new(hoist_value(*a, body, counter, prefix, introduced)?),
-        )),
-        Value::Binary(op, a, b) => Ok(Value::Binary(
-            op,
-            Box::new(hoist_value(*a, body, counter, prefix, introduced)?),
-            Box::new(hoist_value(*b, body, counter, prefix, introduced)?),
-        )),
-        other => Ok(other),
-    }
 }
 
 #[cfg(test)]
@@ -472,6 +451,89 @@ mod tests {
         assert_eq!(
             ev1.final_array_f64("z").unwrap(),
             ev2.final_array_f64("z").unwrap()
+        );
+    }
+
+    #[test]
+    fn fresh_temp_skips_collisions() {
+        // The user's own arrays are called tmp1 and tmp3: the three
+        // hoists take tmp0, tmp2 and tmp4.
+        let p = program(with_domain(
+            "s",
+            interval(1, 8),
+            with_decl(
+                declset(vec![
+                    decl("tmp1", dfield(domain("s"), float64())),
+                    decl("tmp3", dfield(domain("s"), float64())),
+                ]),
+                mv(
+                    avar("tmp3", everywhere()),
+                    add(
+                        cshift_call("tmp1", 1, 1),
+                        add(cshift_call("tmp1", 2, 1), cshift_call("tmp3", 3, 1)),
+                    ),
+                ),
+            ),
+        ));
+        let mut body = ProgramBody::decompose(&p).unwrap();
+        assert_eq!(run(&mut body).unwrap(), 3);
+        assert_eq!(body.temps, ["tmp0", "tmp2", "tmp4"]);
+        f90y_nir::typecheck::check(&body.recompose()).unwrap();
+    }
+
+    #[test]
+    fn a_shift_by_an_enclosing_do_index_stays_in_place() {
+        // The binder-only context cannot type `i`, so the outer call is
+        // left for the host path — but the constant shift nested in its
+        // argument still hoists, inside the loop body.
+        let shifted_by_i = fcncall(
+            "cshift",
+            vec![
+                (float64(), cshift_call("v", 1, 1)),
+                (int32(), do_index("i", 1)),
+                (int32(), int(1)),
+            ],
+        );
+        let p = program(with_domain(
+            "s",
+            interval(1, 8),
+            with_decl(
+                declset(vec![
+                    decl("v", dfield(domain("s"), float64())),
+                    decl("z", dfield(domain("s"), float64())),
+                ]),
+                do_over(
+                    "i",
+                    serial_interval(1, 3),
+                    mv(
+                        avar("z", everywhere()),
+                        add(ld("v", everywhere()), shifted_by_i),
+                    ),
+                ),
+            ),
+        ));
+        let mut body = ProgramBody::decompose(&p).unwrap();
+        assert_eq!(run(&mut body).unwrap(), 1);
+        let Imp::Do(_, _, inner) = &body.stmts[0] else {
+            panic!("the DO stays the only top-level statement")
+        };
+        let Imp::Sequentially(xs) = inner.as_ref() else {
+            panic!("the hoisted move lands inside the loop body")
+        };
+        assert_eq!(xs.len(), 2);
+        let Imp::Move(clauses) = &xs[1] else {
+            panic!("the rewritten move")
+        };
+        let mut calls = Vec::new();
+        clauses[0].src.walk(&mut |v| {
+            if let Value::FcnCall(name, args) = v {
+                calls.push((name.clone(), args[0].1.clone()));
+            }
+        });
+        assert_eq!(
+            calls,
+            [("cshift".to_string(), ld("tmp0", everywhere()))],
+            "the outer call stays, reading the hoisted inner shift"
         );
     }
 }

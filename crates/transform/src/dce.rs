@@ -216,7 +216,7 @@ mod tests {
         let stats = run(&mut body).unwrap();
         assert_eq!(stats.temps_deleted, 1);
         assert_eq!(body.temps.len(), 1);
-        assert!(!body.declared_names().contains(&"tmp1".to_string()));
+        assert!(body.ctx().unwrap().var("tmp1").is_none());
 
         let out = body.recompose();
         f90y_nir::typecheck::check(&out).unwrap();
@@ -279,7 +279,7 @@ mod tests {
         let mut body = ProgramBody::decompose(&p).unwrap();
         let stats = run(&mut body).unwrap();
         assert_eq!(stats.temps_deleted, 0);
-        assert!(body.declared_names().contains(&"unused".to_string()));
+        assert!(body.ctx().unwrap().var("unused").is_some());
         assert_eq!(body.stmts.len(), 2);
     }
 

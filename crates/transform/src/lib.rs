@@ -37,6 +37,8 @@
 pub mod blocking;
 pub mod comm_cse;
 pub mod comm_split;
+#[cfg(test)]
+mod comm_split_reference;
 pub mod dce;
 pub mod mask_pad;
 pub mod pass;

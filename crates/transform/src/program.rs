@@ -162,31 +162,6 @@ impl ProgramBody {
         self.binders.push(Binder::Decls(Decl::DeclSet(vec![d])));
     }
 
-    /// All identifiers declared anywhere in the binders.
-    pub fn declared_names(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for b in &self.binders {
-            if let Binder::Decls(d) = b {
-                for (id, _, _) in d.bindings() {
-                    out.push(id.clone());
-                }
-            }
-        }
-        out
-    }
-
-    /// A temporary name not colliding with any declared name.
-    pub fn fresh_temp(&self, counter: &mut usize) -> String {
-        let taken = self.declared_names();
-        loop {
-            let name = format!("tmp{counter}");
-            *counter += 1;
-            if !taken.contains(&name) {
-                return name;
-            }
-        }
-    }
-
     /// Classify one statement.
     ///
     /// # Errors
@@ -365,7 +340,7 @@ pub fn classify_stmt(stmt: &Imp, ctx: &mut Ctx) -> Result<StmtClass, NirError> {
     }
 }
 
-fn resolve_type(ty: &f90y_nir::Type, ctx: &Ctx) -> Result<f90y_nir::Type, NirError> {
+pub(crate) fn resolve_type(ty: &f90y_nir::Type, ctx: &Ctx) -> Result<f90y_nir::Type, NirError> {
     match ty {
         f90y_nir::Type::Scalar(s) => Ok(f90y_nir::Type::Scalar(*s)),
         f90y_nir::Type::DField { shape, elem } => Ok(f90y_nir::Type::DField {
@@ -446,25 +421,12 @@ mod tests {
     fn temp_decls_land_in_the_declset() {
         let p = sample();
         let mut body = ProgramBody::decompose(&p).unwrap();
-        let mut counter = 0;
-        let name = body.fresh_temp(&mut counter);
-        assert_eq!(name, "tmp0");
-        body.add_temp_decl(decl(&name, dfield(domain("s"), float64())));
-        let names = body.declared_names();
-        assert!(names.contains(&"a".to_string()));
-        assert!(names.contains(&"tmp0".to_string()));
+        body.add_temp_decl(decl("tmp0", dfield(domain("s"), float64())));
+        let ctx = body.ctx().unwrap();
+        assert!(ctx.var("a").is_some());
+        assert!(ctx.var("tmp0").is_some());
+        assert_eq!(body.temps, ["tmp0"]);
         // Recomposed program still checks.
         f90y_nir::typecheck::check(&body.recompose()).unwrap();
-    }
-
-    #[test]
-    fn fresh_temp_skips_collisions() {
-        let p = program(with_decl(
-            declset(vec![decl("tmp0", float64())]),
-            mv(svar_lv("tmp0"), f64c(0.0)),
-        ));
-        let body = ProgramBody::decompose(&p).unwrap();
-        let mut counter = 0;
-        assert_eq!(body.fresh_temp(&mut counter), "tmp1");
     }
 }
