@@ -9,22 +9,34 @@
 //! the compiler inserts calling code to push PEAC procedure arguments
 //! over the IFIFO to the processors." (paper §5.2)
 //!
-//! In this reproduction the host program is *interpreted* with a
-//! per-operation cost model (`HOST_OP_CYCLES`) standing in for the
-//! paper's deliberately naive memory-to-memory SPARC code — the paper
-//! itself argues host time is off the critical path, and the
-//! host-fraction experiment reproduces that claim.
+//! In this reproduction the host program is *compiled* to a
+//! [`HostTape`](crate::tape::HostTape) and this module is the one loop
+//! over it, with a per-operation cost model (`HOST_OP_CYCLES`) standing
+//! in for the paper's deliberately naive memory-to-memory SPARC code.
+//! The loop is generic in the [`Machine`] it drives and computes in
+//! scalars that are either known or only known at run time:
+//! [`HostExecutor`] runs it over a real machine, where every value is
+//! known; [`crate::plan::profile`] over a machine that only counts,
+//! where whatever the machine hands back is not — so what the profile
+//! predicts is what a run does, by construction.
 
 use std::collections::HashMap;
 
 use f90y_cm2::runtime::ReduceOp;
 use f90y_nir::array::Scalar as NScalar;
 use f90y_nir::eval::{apply_binop, apply_unop};
-use f90y_nir::{Const, Decl, FieldAction, LValue, MoveClause, ScalarType, Shape, Type, Value};
-use f90y_transform::program::Binder;
+use f90y_nir::{NirError, ScalarType, SectionRange};
 
 use crate::machine::Machine;
-use crate::{ArrayParam, BackendError, CompiledProgram, HostStmt};
+use crate::tape::{Arg, Dst, Expr, Grid, HostTape, Intrinsic, Op};
+use crate::{BackendError, CompiledProgram};
+
+/// `WHILE` trips a run may take, all loops together, before it is
+/// declared runaway.
+pub const RUN_WHILE_FUEL: u64 = 100_000_000;
+/// The same for the static profile, which keeps a site per call of
+/// every trip in memory.
+pub const PROFILE_WHILE_FUEL: u64 = 1_000_000;
 
 /// A finalised program variable, captured when its scope exited.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,784 +86,134 @@ impl HostRun {
     }
 }
 
-#[derive(Debug, Clone)]
-struct ArrayRef<I> {
-    id: I,
-    dims: Vec<usize>,
-    lower: Vec<i64>,
-    elem: ScalarType,
-}
-
-#[derive(Debug, Clone)]
-enum Entry<I> {
-    Scalar(NScalar),
-    Array(ArrayRef<I>),
-}
-
-/// A host value during expression evaluation.
-#[derive(Debug, Clone)]
-enum HVal {
-    Scalar(NScalar),
-    Array(Vec<NScalar>, Vec<usize>),
-}
-
 /// The front-end executor: runs a [`CompiledProgram`] on any
 /// [`Machine`] — the CM/2 SIMD simulator or the CM/5 MIMD runtime.
 #[derive(Debug)]
 pub struct HostExecutor<'m, M: Machine> {
     cm: &'m mut M,
-    scopes: Vec<HashMap<String, Entry<M::Id>>>,
-    domains: HashMap<String, Shape>,
-    do_env: Vec<(String, Vec<i64>)>,
-    finals: HashMap<String, Final>,
 }
 
 impl<'m, M: Machine> HostExecutor<'m, M> {
     /// An executor over the given machine.
     pub fn new(cm: &'m mut M) -> Self {
-        HostExecutor {
-            cm,
-            scopes: vec![HashMap::new()],
-            domains: HashMap::new(),
-            do_env: Vec::new(),
-            finals: HashMap::new(),
-        }
+        HostExecutor { cm }
     }
 
-    /// Run the program to completion.
+    /// Run the program to completion. Finals are moved out of the
+    /// machine; a failed run frees what it had allocated.
     ///
     /// # Errors
     ///
     /// Fails on any dynamic host error or machine fault.
-    pub fn run(mut self, program: &CompiledProgram) -> Result<HostRun, BackendError> {
-        // Outer binders: domains and global allocations.
-        for b in &program.binders {
-            match b {
-                Binder::Domain(name, shape) => {
-                    let resolved = shape.resolve(&self.domains).map_err(BackendError::Nir)?;
-                    self.domains.insert(name.clone(), resolved);
-                }
-                Binder::Decls(d) => self.alloc_decls(d)?,
-            }
-        }
-        self.exec_stmts(&program.host, program)?;
-        // Capture everything still live: finals are moved out, so a
-        // finished run leaves no program array on the machine.
-        while let Some(scope) = self.scopes.pop() {
-            self.capture(scope)?;
-        }
-        Ok(HostRun {
-            finals: self.finals,
-        })
-    }
-
-    fn capture(&mut self, scope: HashMap<String, Entry<M::Id>>) -> Result<(), BackendError> {
-        for (name, entry) in scope {
-            let value = match entry {
-                Entry::Scalar(s) => {
-                    Final::Scalar(s.to_f64().unwrap_or(if matches!(s, NScalar::Bool(true)) {
-                        1.0
-                    } else {
-                        0.0
-                    }))
-                }
-                Entry::Array(a) => Final::Array(self.cm.take(a.id)?),
-            };
-            self.finals.entry(name).or_insert(value);
-        }
-        Ok(())
-    }
-
-    fn alloc_decls(&mut self, d: &Decl) -> Result<(), BackendError> {
-        for (id, ty, init) in d.bindings() {
-            let entry = match ty {
-                Type::Scalar(st) => {
-                    let mut v = NScalar::zero(*st);
-                    if let Some(e) = init {
-                        let s = self.eval_scalar(e)?;
-                        v = s.convert(*st).map_err(BackendError::Nir)?;
-                    }
-                    Entry::Scalar(v)
-                }
-                Type::DField { shape, elem } => {
-                    let resolved = shape.resolve(&self.domains).map_err(BackendError::Nir)?;
-                    let extents = resolved.extents();
-                    let dims: Vec<usize> = extents.iter().map(|e| e.len()).collect();
-                    let lower: Vec<i64> = extents.iter().map(|e| e.lo).collect();
-                    let aid = self.cm.alloc_with_bounds(&dims, &lower);
-                    self.cm.charge_host_ops(2);
-                    if let Some(e) = init {
-                        let s = self.eval_scalar(e)?;
-                        let v = s.to_f64().map_err(BackendError::Nir)?;
-                        let total: usize = dims.iter().product();
-                        self.cm.write(aid, &vec![v; total])?;
-                    }
-                    Entry::Array(ArrayRef {
-                        id: aid,
-                        dims,
-                        lower,
-                        elem: elem.elem_scalar(),
-                    })
-                }
-            };
-            self.scopes
-                .last_mut()
-                .expect("executor always has a scope")
-                .insert(id.clone(), entry);
-        }
-        Ok(())
-    }
-
-    fn lookup(&self, name: &str) -> Result<&Entry<M::Id>, BackendError> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.get(name))
-            .ok_or_else(|| BackendError::Host(format!("unbound variable '{name}'")))
-    }
-
-    fn lookup_array(&self, name: &str) -> Result<ArrayRef<M::Id>, BackendError> {
-        match self.lookup(name)? {
-            Entry::Array(a) => Ok(a.clone()),
-            Entry::Scalar(_) => Err(BackendError::Host(format!("'{name}' is a scalar"))),
-        }
-    }
-
-    fn exec_stmts(
-        &mut self,
-        stmts: &[HostStmt],
-        program: &CompiledProgram,
-    ) -> Result<(), BackendError> {
-        for s in stmts {
-            self.exec_stmt(s, program)?;
-        }
-        Ok(())
-    }
-
-    fn exec_stmt(
-        &mut self,
-        stmt: &HostStmt,
-        program: &CompiledProgram,
-    ) -> Result<(), BackendError> {
-        match stmt {
-            HostStmt::Dispatch(i) => self.dispatch(*i, program),
-            HostStmt::Comm {
-                dst,
-                src,
-                dim,
-                shift,
-                boundary,
-            } => {
-                let dim = self.eval_scalar(dim)?.to_i64().map_err(BackendError::Nir)?;
-                let shift = self
-                    .eval_scalar(shift)?
-                    .to_i64()
-                    .map_err(BackendError::Nir)?;
-                let src_ref = self.lookup_array(src)?;
-                let dst_ref = self.lookup_array(dst)?;
-                if dim < 1 || dim as usize > src_ref.dims.len() {
-                    return Err(BackendError::Host(format!("bad CSHIFT DIM={dim}")));
-                }
-                let tmp = match boundary {
-                    None => self.cm.cshift(src_ref.id, dim as usize - 1, shift)?,
-                    Some(b) => {
-                        let b = self.eval_scalar(b)?.to_f64().map_err(BackendError::Nir)?;
-                        self.cm.eoshift(src_ref.id, dim as usize - 1, shift, b)?
-                    }
-                };
-                self.cm.assign(dst_ref.id, tmp)?;
-                self.cm.charge_host_ops(4);
-                Ok(())
-            }
-            HostStmt::HostMove(clauses) => {
-                for c in clauses {
-                    self.exec_host_clause(c)?;
-                }
-                Ok(())
-            }
-            HostStmt::Do { dom, shape, body } => {
-                let resolved = shape.resolve(&self.domains).map_err(BackendError::Nir)?;
-                for p in resolved.points() {
-                    self.cm.charge_host_ops(2); // loop bookkeeping
-                    self.do_env.push((dom.clone(), p));
-                    let r = self.exec_stmts(body, program);
-                    self.do_env.pop();
-                    r?;
-                }
-                Ok(())
-            }
-            HostStmt::While { cond, body } => {
-                let mut fuel: u64 = 100_000_000;
-                loop {
-                    self.cm.charge_host_ops(value_size(cond));
-                    let c = self
-                        .eval_scalar(cond)?
-                        .to_bool()
-                        .map_err(BackendError::Nir)?;
-                    if !c {
-                        return Ok(());
-                    }
-                    self.exec_stmts(body, program)?;
-                    fuel -= 1;
-                    if fuel == 0 {
-                        return Err(BackendError::Host("WHILE exceeded fuel".into()));
-                    }
-                }
-            }
-            HostStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                self.cm.charge_host_ops(value_size(cond));
-                if self
-                    .eval_scalar(cond)?
-                    .to_bool()
-                    .map_err(BackendError::Nir)?
-                {
-                    self.exec_stmts(then_body, program)
-                } else {
-                    self.exec_stmts(else_body, program)
-                }
-            }
-            HostStmt::WithDecl { decl, body } => {
-                self.scopes.push(HashMap::new());
-                let r = self
-                    .alloc_decls(decl)
-                    .and_then(|()| self.exec_stmts(body, program));
-                let scope = self.scopes.pop().expect("scope pushed above");
-                self.capture(scope)?;
-                r
-            }
-            HostStmt::WithDomain { name, shape, body } => {
-                let old = self.domains.insert(name.clone(), shape.clone());
-                let r = self.exec_stmts(body, program);
-                match old {
-                    Some(s) => {
-                        self.domains.insert(name.clone(), s);
-                    }
-                    None => {
-                        self.domains.remove(name);
-                    }
-                }
-                r
-            }
-        }
-    }
-
-    fn dispatch(&mut self, index: usize, program: &CompiledProgram) -> Result<(), BackendError> {
-        let block = program
-            .blocks
-            .get(index)
-            .ok_or_else(|| BackendError::Host(format!("unknown block {index}")))?;
-        let extents = block.shape.extents();
-        let dims: Vec<usize> = extents.iter().map(|e| e.len()).collect();
-        let lower: Vec<i64> = extents.iter().map(|e| e.lo).collect();
-        let mut ids = Vec::with_capacity(block.array_params.len());
-        for p in &block.array_params {
-            let id = match p {
-                ArrayParam::Read(v) | ArrayParam::Write(v) => self.lookup_array(v)?.id,
-                ArrayParam::Coord(dim) => self.cm.coordinates(&dims, &lower, *dim - 1),
-            };
-            ids.push(id);
-        }
-        let mut scalars = Vec::with_capacity(block.scalar_params.len());
-        for v in &block.scalar_params {
-            scalars.push(self.eval_scalar(v)?.to_f64().map_err(BackendError::Nir)?);
-        }
-        self.cm
-            .charge_host_ops(2 + ids.len() as u64 + scalars.len() as u64);
-        self.cm.dispatch(&block.routine, &ids, &scalars)?;
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Host moves (element, scalar, and router-path array moves)
-    // -----------------------------------------------------------------
-
-    fn exec_host_clause(&mut self, c: &MoveClause) -> Result<(), BackendError> {
-        self.cm
-            .charge_host_ops(value_size(&c.src) + value_size(&c.mask));
-        match &c.dst {
-            LValue::SVar(name) => {
-                let enabled = self
-                    .eval_scalar(&c.mask)?
-                    .to_bool()
-                    .map_err(BackendError::Nir)?;
-                if !enabled {
-                    return Ok(());
-                }
-                let v = self.eval_scalar(&c.src)?;
-                let entry = self
-                    .scopes
-                    .iter_mut()
-                    .rev()
-                    .find_map(|s| s.get_mut(name))
-                    .ok_or_else(|| BackendError::Host(format!("unbound '{name}'")))?;
-                match entry {
-                    Entry::Scalar(s) => {
-                        *s = v.convert(s.scalar_type()).map_err(BackendError::Nir)?;
-                        Ok(())
-                    }
-                    Entry::Array(_) => Err(BackendError::Host(format!(
-                        "SVAR target '{name}' is an array"
-                    ))),
-                }
-            }
-            LValue::AVar(name, FieldAction::Subscript(ixs)) => {
-                let enabled = self
-                    .eval_scalar(&c.mask)?
-                    .to_bool()
-                    .map_err(BackendError::Nir)?;
-                if !enabled {
-                    return Ok(());
-                }
-                let arr = self.lookup_array(name)?;
-                let flat = self.flat_index(&arr, ixs)?;
-                let v = self.eval_scalar(&c.src)?;
-                let v = v.convert(arr.elem).map_err(BackendError::Nir)?;
-                self.cm
-                    .host_write_elem(arr.id, flat, v.to_f64().map_err(BackendError::Nir)?)?;
-                Ok(())
-            }
-            LValue::AVar(name, fa @ (FieldAction::Everywhere | FieldAction::Section(_))) => {
-                // Router path: a data motion the grid network cannot
-                // express (misaligned sections, host-context whole-array
-                // moves).
-                let arr = self.lookup_array(name)?;
-                let mask = self.eval_host(&c.mask)?;
-                let src = self.eval_host(&c.src)?;
-                let mut data = self.cm.read(arr.id)?;
-                let flats: Vec<usize> = match fa {
-                    FieldAction::Everywhere => (0..data.len()).collect(),
-                    FieldAction::Section(ranges) => section_flats(&arr, ranges)?,
-                    FieldAction::Subscript(_) => unreachable!("matched above"),
-                };
-                let n = flats.len();
-                check_conforms(&mask, n, "mask")?;
-                check_conforms(&src, n, "source")?;
-                for (k, &flat) in flats.iter().enumerate() {
-                    let enabled = match &mask {
-                        HVal::Scalar(s) => s.to_bool().map_err(BackendError::Nir)?,
-                        HVal::Array(m, _) => m[k].to_bool().map_err(BackendError::Nir)?,
-                    };
-                    if !enabled {
-                        continue;
-                    }
-                    let v = match &src {
-                        HVal::Scalar(s) => *s,
-                        HVal::Array(vs, _) => vs[k],
-                    };
-                    data[flat] = v
-                        .convert(arr.elem)
-                        .map_err(BackendError::Nir)?
-                        .to_f64()
-                        .map_err(BackendError::Nir)?;
-                }
-                self.cm.write(arr.id, &data)?;
-                self.cm.charge_router_move(arr.id)?;
-                Ok(())
-            }
-        }
-    }
-
-    fn flat_index(&mut self, arr: &ArrayRef<M::Id>, ixs: &[Value]) -> Result<usize, BackendError> {
-        if ixs.len() != arr.dims.len() {
-            return Err(BackendError::Host(format!(
-                "rank mismatch: {} subscripts for rank {}",
-                ixs.len(),
-                arr.dims.len()
-            )));
-        }
-        let mut flat = 0usize;
-        for (k, ix) in ixs.iter().enumerate() {
-            let c = self.eval_scalar(ix)?.to_i64().map_err(BackendError::Nir)?;
-            let off = c - arr.lower[k];
-            if off < 0 || off as usize >= arr.dims[k] {
-                return Err(BackendError::Host(format!(
-                    "subscript {c} out of bounds in axis {}",
-                    k + 1
-                )));
-            }
-            flat = flat * arr.dims[k] + off as usize;
-        }
-        Ok(flat)
-    }
-
-    // -----------------------------------------------------------------
-    // Host expression evaluation
-    // -----------------------------------------------------------------
-
-    fn eval_scalar(&mut self, v: &Value) -> Result<NScalar, BackendError> {
-        match self.eval_host(v)? {
-            HVal::Scalar(s) => Ok(s),
-            HVal::Array(..) => Err(BackendError::Host(format!(
-                "array value where the host needs a scalar: {v}"
-            ))),
-        }
-    }
-
-    fn eval_host(&mut self, v: &Value) -> Result<HVal, BackendError> {
-        match v {
-            Value::Scalar(c) => Ok(HVal::Scalar(match c {
-                Const::I32(i) => NScalar::I32(*i),
-                Const::Bool(b) => NScalar::Bool(*b),
-                Const::F32(x) => NScalar::F32(*x),
-                Const::F64(x) => NScalar::F64(*x),
-            })),
-            Value::SVar(name) => match self.lookup(name)? {
-                Entry::Scalar(s) => Ok(HVal::Scalar(*s)),
-                Entry::Array(_) => Err(BackendError::Host(format!("SVAR '{name}' is an array"))),
-            },
-            Value::DoIndex(dom, dim) => {
-                let (_, coords) = self
-                    .do_env
-                    .iter()
-                    .rev()
-                    .find(|(d, _)| d == dom)
-                    .ok_or_else(|| BackendError::Host(format!("do_index outside DO '{dom}'")))?;
-                let c = coords.get(*dim - 1).copied().ok_or_else(|| {
-                    BackendError::Host(format!("do_index axis {dim} out of range"))
-                })?;
-                Ok(HVal::Scalar(NScalar::I32(c as i32)))
-            }
-            Value::AVar(name, FieldAction::Subscript(ixs)) => {
-                let arr = self.lookup_array(name)?;
-                let ixs = ixs.clone();
-                let flat = self.flat_index(&arr, &ixs)?;
-                let raw = self.cm.host_read_elem(arr.id, flat)?;
-                Ok(HVal::Scalar(
-                    NScalar::F64(raw)
-                        .convert(arr.elem)
-                        .map_err(BackendError::Nir)?,
-                ))
-            }
-            Value::AVar(name, FieldAction::Everywhere) => {
-                let arr = self.lookup_array(name)?;
-                let data = self.cm.read(arr.id)?;
-                let typed = data
-                    .into_iter()
-                    .map(|x| NScalar::F64(x).convert(arr.elem))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(BackendError::Nir)?;
-                Ok(HVal::Array(typed, arr.dims.clone()))
-            }
-            Value::AVar(name, FieldAction::Section(ranges)) => {
-                let arr = self.lookup_array(name)?;
-                let data = self.cm.read(arr.id)?;
-                let flats = section_flats(&arr, ranges)?;
-                let dims: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-                let typed = flats
-                    .into_iter()
-                    .map(|f| NScalar::F64(data[f]).convert(arr.elem))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(BackendError::Nir)?;
-                Ok(HVal::Array(typed, dims))
-            }
-            Value::LocalUnder(shape, dim) => {
-                let resolved = shape.resolve(&self.domains).map_err(BackendError::Nir)?;
-                let mut out = Vec::with_capacity(resolved.size());
-                for p in resolved.points() {
-                    out.push(NScalar::I32(p[*dim - 1] as i32));
-                }
-                let dims: Vec<usize> = resolved.extents().iter().map(|e| e.len()).collect();
-                Ok(HVal::Array(out, dims))
-            }
-            Value::Unary(op, a) => {
-                let a = self.eval_host(a)?;
-                map_hval(a, |s| apply_unop(*op, s).map_err(BackendError::Nir))
-            }
-            Value::Binary(op, a, b) => {
-                let a = self.eval_host(a)?;
-                let b = self.eval_host(b)?;
-                zip_hval(a, b, |x, y| {
-                    apply_binop(*op, x, y).map_err(BackendError::Nir)
-                })
-            }
-            Value::FcnCall(name, args) => self.eval_call(name, args),
-        }
-    }
-
-    fn eval_call(&mut self, name: &str, args: &[(Type, Value)]) -> Result<HVal, BackendError> {
-        match name {
-            "sum" | "maxval" | "minval" if args.len() == 2 => {
-                // Partial reduction along an axis: computed by a grid
-                // scan; charged as a reduction call.
-                let HVal::Array(data, dims) = self.eval_host(&args[0].1)? else {
-                    return Err(BackendError::Host(format!("{name} of a scalar")));
-                };
-                let dim = self
-                    .eval_scalar(&args[1].1)?
-                    .to_i64()
-                    .map_err(BackendError::Nir)?;
-                if dim < 1 || dim as usize > dims.len() {
-                    return Err(BackendError::Host(format!("{name} DIM={dim} out of range")));
-                }
-                let axis = dim as usize - 1;
-                let inner: usize = dims[axis + 1..].iter().product();
-                let extent = dims[axis];
-                let outer: usize = dims[..axis].iter().product();
-                let mut out = Vec::with_capacity(outer * inner);
-                for o in 0..outer {
-                    for i in 0..inner {
-                        let mut acc = match name {
-                            "sum" => 0.0,
-                            "maxval" => f64::NEG_INFINITY,
-                            _ => f64::INFINITY,
-                        };
-                        for a in 0..extent {
-                            let v = data[(o * extent + a) * inner + i]
-                                .to_f64()
-                                .map_err(BackendError::Nir)?;
-                            acc = match name {
-                                "sum" => acc + v,
-                                "maxval" => acc.max(v),
-                                _ => acc.min(v),
-                            };
-                        }
-                        let elem = data[0].scalar_type();
-                        out.push(NScalar::F64(acc).convert(elem).map_err(BackendError::Nir)?);
-                    }
-                }
-                // Charge as a reduction over the source geometry.
-                let tmp = self.cm.alloc(&dims);
-                let raw: Vec<f64> = data
-                    .iter()
-                    .map(|s| s.to_f64())
-                    .collect::<Result<_, _>>()
-                    .map_err(BackendError::Nir)?;
-                self.cm.write(tmp, &raw)?;
-                self.cm.reduce(tmp, ReduceOp::Sum)?;
-                self.cm.free(tmp)?;
-                let mut out_dims = dims.clone();
-                out_dims.remove(axis);
-                Ok(HVal::Array(out, out_dims))
-            }
-            "spread" => {
-                let HVal::Array(data, dims) = self.eval_host(&args[0].1)? else {
-                    return Err(BackendError::Host("spread of a scalar".into()));
-                };
-                let dim = self
-                    .eval_scalar(&args[1].1)?
-                    .to_i64()
-                    .map_err(BackendError::Nir)?;
-                let n = self
-                    .eval_scalar(&args[2].1)?
-                    .to_i64()
-                    .map_err(BackendError::Nir)?;
-                if dim < 1 || dim as usize > dims.len() + 1 || n < 0 {
-                    return Err(BackendError::Host(format!(
-                        "bad SPREAD arguments DIM={dim} NCOPIES={n}"
-                    )));
-                }
-                let axis = dim as usize - 1;
-                let n = n as usize;
-                let inner: usize = dims[axis..].iter().product();
-                let outer: usize = dims[..axis].iter().product();
-                let mut out = Vec::with_capacity(data.len() * n);
-                for o in 0..outer {
-                    for _ in 0..n {
-                        out.extend_from_slice(&data[o * inner..(o + 1) * inner]);
-                    }
-                }
-                let mut out_dims = dims.clone();
-                out_dims.insert(axis, n);
-                // A broadcast rides the grid network: charge one grid
-                // communication over the result geometry.
-                let tmp = self.cm.alloc(&out_dims);
-                self.cm.charge_router_move(tmp)?;
-                self.cm.free(tmp)?;
-                Ok(HVal::Array(out, out_dims))
-            }
-            "sum" | "maxval" | "minval" => {
-                let op = match name {
-                    "sum" => ReduceOp::Sum,
-                    "maxval" => ReduceOp::Max,
-                    _ => ReduceOp::Min,
-                };
-                let arg = &args[0].1;
-                // Fast path: a plain array variable reduces in place.
-                if let Value::AVar(v, FieldAction::Everywhere) = arg {
-                    let arr = self.lookup_array(v)?;
-                    let x = self.cm.reduce(arr.id, op)?;
-                    return Ok(HVal::Scalar(
-                        NScalar::F64(x)
-                            .convert(match arr.elem {
-                                ScalarType::Integer32 => ScalarType::Integer32,
-                                other => other,
-                            })
-                            .map_err(BackendError::Nir)?,
-                    ));
-                }
-                // General case: materialise, reduce, free.
-                let HVal::Array(data, dims) = self.eval_host(arg)? else {
-                    return Err(BackendError::Host(format!("{name} of a scalar")));
-                };
-                let raw: Vec<f64> = data
-                    .iter()
-                    .map(|s| s.to_f64())
-                    .collect::<Result<_, _>>()
-                    .map_err(BackendError::Nir)?;
-                let tmp = self.cm.alloc_from(&dims, raw);
-                let x = self.cm.reduce(tmp, op)?;
-                self.cm.free(tmp)?;
-                Ok(HVal::Scalar(NScalar::F64(x)))
-            }
-            "merge" => {
-                let t = self.eval_host(&args[0].1)?;
-                let f = self.eval_host(&args[1].1)?;
-                let m = self.eval_host(&args[2].1)?;
-                let n = [&t, &f, &m].iter().find_map(|v| match v {
-                    HVal::Array(d, _) => Some(d.len()),
-                    HVal::Scalar(_) => None,
-                });
-                let Some(n) = n else {
-                    let HVal::Scalar(ms) = m else {
-                        unreachable!("no arrays")
-                    };
-                    let cond = ms.to_bool().map_err(BackendError::Nir)?;
-                    return Ok(if cond { t } else { f });
-                };
-                let dims = [&t, &f, &m]
-                    .iter()
-                    .find_map(|v| match v {
-                        HVal::Array(_, dims) => Some(dims.clone()),
-                        HVal::Scalar(_) => None,
-                    })
-                    .expect("n came from an array");
-                let mut out = Vec::with_capacity(n);
-                for i in 0..n {
-                    let cond = match &m {
-                        HVal::Scalar(s) => s.to_bool().map_err(BackendError::Nir)?,
-                        HVal::Array(d, _) => d[i].to_bool().map_err(BackendError::Nir)?,
-                    };
-                    let v = match (cond, &t, &f) {
-                        (true, HVal::Scalar(s), _) => *s,
-                        (true, HVal::Array(d, _), _) => d[i],
-                        (false, _, HVal::Scalar(s)) => *s,
-                        (false, _, HVal::Array(d, _)) => d[i],
-                    };
-                    out.push(v);
-                }
-                Ok(HVal::Array(out, dims))
-            }
-            "transpose" => {
-                let HVal::Array(data, dims) = self.eval_host(&args[0].1)? else {
-                    return Err(BackendError::Host("transpose of a scalar".into()));
-                };
-                if dims.len() != 2 {
-                    return Err(BackendError::Host(format!(
-                        "transpose requires rank 2, got rank {}",
-                        dims.len()
-                    )));
-                }
-                let (r, c) = (dims[0], dims[1]);
-                let mut out = vec![data[0]; data.len()];
-                for i in 0..r {
-                    for j in 0..c {
-                        out[j * r + i] = data[i * c + j];
-                    }
-                }
-                // A transpose is a general permutation: charge the
-                // router over a temporary of the result's geometry.
-                let tmp = self.cm.alloc(&[c, r]);
-                self.cm.charge_router_move(tmp)?;
-                self.cm.free(tmp)?;
-                Ok(HVal::Array(out, vec![c, r]))
-            }
-            "cshift" | "eoshift" => {
-                // Host-context communication (shift amounts depending on
-                // DO indices, etc.): materialise the argument, call the
-                // runtime, take the result back.
-                let HVal::Array(data, dims) = self.eval_host(&args[0].1)? else {
-                    return Err(BackendError::Host(format!("{name} of a scalar")));
-                };
-                let shift = self
-                    .eval_scalar(&args[1].1)?
-                    .to_i64()
-                    .map_err(BackendError::Nir)?;
-                let dim = self
-                    .eval_scalar(&args[2].1)?
-                    .to_i64()
-                    .map_err(BackendError::Nir)?;
-                if dim < 1 || dim as usize > dims.len() {
-                    return Err(BackendError::Host(format!("bad {name} DIM={dim}")));
-                }
-                let elem = data
-                    .first()
-                    .map(|s| s.scalar_type())
-                    .unwrap_or(ScalarType::Float64);
-                let raw: Vec<f64> = data
-                    .iter()
-                    .map(|s| s.to_f64())
-                    .collect::<Result<_, _>>()
-                    .map_err(BackendError::Nir)?;
-                let tmp = self.cm.alloc_from(&dims, raw);
-                let shifted = if name == "cshift" {
-                    self.cm.cshift(tmp, dim as usize - 1, shift)?
-                } else {
-                    let b = match args.get(3) {
-                        Some((_, v)) => self.eval_scalar(v)?.to_f64().map_err(BackendError::Nir)?,
-                        None => 0.0,
-                    };
-                    self.cm.eoshift(tmp, dim as usize - 1, shift, b)?
-                };
-                let out = self.cm.take(shifted)?;
-                self.cm.free(tmp)?;
-                let typed = out
-                    .into_iter()
-                    .map(|x| NScalar::F64(x).convert(elem))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(BackendError::Nir)?;
-                Ok(HVal::Array(typed, dims))
-            }
-            other => Err(BackendError::Host(format!("unknown primitive '{other}'"))),
+    pub fn run(self, program: &CompiledProgram) -> Result<HostRun, BackendError> {
+        match execute::<M, false>(self.cm, program) {
+            Ok(finals) => Ok(HostRun { finals }),
+            // A run knows every value; only a profile halts the second way.
+            Err(Halt::Error(e)) | Err(Halt::DataDependent(e)) => Err(e),
         }
     }
 }
 
-fn check_conforms(v: &HVal, n: usize, what: &str) -> Result<(), BackendError> {
-    if let HVal::Array(data, _) = v {
-        if data.len() != n {
-            return Err(BackendError::Host(format!(
+/// A host scalar: `None` is a value only known at run time. In a run
+/// nothing is; in a profile, whatever the machine hands back and what is
+/// computed from it.
+type Scalar = Option<NScalar>;
+
+/// Why the loop stopped early.
+pub(crate) enum Halt {
+    /// The program or the machine failed.
+    Error(BackendError),
+    /// A value that decides control flow or call geometry is only known
+    /// at run time (a profile only).
+    DataDependent(BackendError),
+}
+
+impl<E: Into<BackendError>> From<E> for Halt {
+    fn from(e: E) -> Self {
+        Halt::Error(e.into())
+    }
+}
+
+fn host<T>(msg: String) -> Result<T, Halt> {
+    Err(Halt::Error(BackendError::Host(msg)))
+}
+
+fn data_dependent<T>(msg: String) -> Result<T, Halt> {
+    Err(Halt::DataDependent(BackendError::Host(msg)))
+}
+
+/// An array value on the host. `data` is row-major; a profile tracks
+/// extents only and leaves it empty.
+struct Arr {
+    data: Vec<NScalar>,
+    dims: Vec<usize>,
+}
+
+enum Val {
+    Scalar(Scalar),
+    Array(Arr),
+}
+
+impl Val {
+    /// Element `k` of an array, or the scalar broadcast to it.
+    fn at(&self, k: usize) -> Scalar {
+        match self {
+            Val::Scalar(s) => *s,
+            Val::Array(a) => a.data.get(k).copied(),
+        }
+    }
+
+    fn conforms(&self, n: usize, what: &str) -> Result<(), Halt> {
+        match self {
+            Val::Array(a) if len(&a.dims) != n => host(format!(
                 "{what} has {} elements; destination selects {n}",
-                data.len()
-            )));
+                len(&a.dims)
+            )),
+            _ => Ok(()),
         }
     }
-    Ok(())
 }
 
-fn section_flats<I>(
-    arr: &ArrayRef<I>,
-    ranges: &[f90y_nir::SectionRange],
-) -> Result<Vec<usize>, BackendError> {
-    if ranges.len() != arr.dims.len() {
-        return Err(BackendError::Host(format!(
-            "section rank {} on rank-{} array",
-            ranges.len(),
-            arr.dims.len()
-        )));
-    }
-    let total: usize = ranges.iter().map(|r| r.len()).product();
-    let mut flats = Vec::with_capacity(total);
-    if total == 0 {
-        return Ok(flats);
-    }
+fn len(dims: &[usize]) -> usize {
+    dims.iter().product()
+}
+
+fn convert(v: Scalar, ty: ScalarType) -> Result<Scalar, NirError> {
+    v.map(|s| s.convert(ty)).transpose()
+}
+
+/// What the machine is handed for `v`; a placeholder when unknown.
+fn to_machine(v: Scalar) -> Result<f64, NirError> {
+    v.map_or(Ok(0.0), NScalar::to_f64)
+}
+
+fn raw(data: &[NScalar]) -> Result<Vec<f64>, NirError> {
+    data.iter().map(|s| s.to_f64()).collect()
+}
+
+/// The element type of a computed array value (an empty one is `f64`).
+fn elem_of(data: &[NScalar]) -> ScalarType {
+    data.first()
+        .map_or(ScalarType::Float64, |s| s.scalar_type())
+}
+
+fn typed(data: Vec<f64>, elem: ScalarType) -> Result<Vec<NScalar>, NirError> {
+    let typed = data.into_iter().map(|x| NScalar::F64(x).convert(elem));
+    typed.collect()
+}
+
+/// Row-major flat offsets a section selects (ranges checked at lowering).
+fn section_flats<'a>(
+    grid: &'a Grid,
+    ranges: &'a [SectionRange],
+) -> impl Iterator<Item = usize> + 'a {
+    let total: usize = ranges.iter().map(SectionRange::len).product();
     let mut coords: Vec<i64> = ranges.iter().map(|r| r.lo).collect();
-    for _ in 0..total {
-        let mut flat = 0usize;
+    (0..total).map(move |_| {
+        let mut flat = 0;
         for (k, &c) in coords.iter().enumerate() {
-            let off = c - arr.lower[k];
-            if off < 0 || off as usize >= arr.dims[k] {
-                return Err(BackendError::Host(format!(
-                    "section index {c} out of bounds in axis {}",
-                    k + 1
-                )));
-            }
-            flat = flat * arr.dims[k] + off as usize;
+            flat = flat * grid.dims[k] + (c - grid.lower[k]) as usize;
         }
-        flats.push(flat);
         for axis in (0..ranges.len()).rev() {
             coords[axis] += ranges[axis].step;
             if coords[axis] <= ranges[axis].hi {
@@ -859,66 +221,570 @@ fn section_flats<I>(
             }
             coords[axis] = ranges[axis].lo;
         }
-    }
-    Ok(flats)
+        flat
+    })
 }
 
-fn map_hval(
-    v: HVal,
-    f: impl Fn(NScalar) -> Result<NScalar, BackendError>,
-) -> Result<HVal, BackendError> {
-    match v {
-        HVal::Scalar(s) => Ok(HVal::Scalar(f(s)?)),
-        HVal::Array(mut data, dims) => {
-            for s in &mut data {
-                *s = f(*s)?;
+/// `f` elementwise, scalars broadcast; an unknown scalar leaves scalars
+/// unknown and arrays (whose elements it cannot reach a call through)
+/// as they were.
+fn zip(
+    a: Val,
+    b: Val,
+    f: impl Fn(NScalar, NScalar) -> Result<NScalar, NirError>,
+) -> Result<Val, Halt> {
+    Ok(match (a, b) {
+        (Val::Scalar(x), Val::Scalar(y)) => Val::Scalar(match (x, y) {
+            (Some(x), Some(y)) => Some(f(x, y)?),
+            _ => None,
+        }),
+        (Val::Array(mut xs), Val::Scalar(y)) => {
+            if let Some(y) = y {
+                for x in &mut xs.data {
+                    *x = f(*x, y)?;
+                }
             }
-            Ok(HVal::Array(data, dims))
+            Val::Array(xs)
         }
-    }
-}
-
-fn zip_hval(
-    a: HVal,
-    b: HVal,
-    f: impl Fn(NScalar, NScalar) -> Result<NScalar, BackendError>,
-) -> Result<HVal, BackendError> {
-    match (a, b) {
-        (HVal::Scalar(x), HVal::Scalar(y)) => Ok(HVal::Scalar(f(x, y)?)),
-        (HVal::Array(mut xs, dims), HVal::Scalar(y)) => {
-            for x in &mut xs {
+        (Val::Scalar(x), Val::Array(mut ys)) => {
+            if let Some(x) = x {
+                for y in &mut ys.data {
+                    *y = f(x, *y)?;
+                }
+            }
+            Val::Array(ys)
+        }
+        (Val::Array(mut xs), Val::Array(ys)) => {
+            if len(&xs.dims) != len(&ys.dims) {
+                return host(format!(
+                    "elementwise host operation on non-conforming arrays ({} vs {})",
+                    len(&xs.dims),
+                    len(&ys.dims)
+                ));
+            }
+            for (x, y) in xs.data.iter_mut().zip(ys.data) {
                 *x = f(*x, y)?;
             }
-            Ok(HVal::Array(xs, dims))
+            Val::Array(xs)
         }
-        (HVal::Scalar(x), HVal::Array(mut ys, dims)) => {
-            for y in &mut ys {
-                *y = f(x, *y)?;
-            }
-            Ok(HVal::Array(ys, dims))
-        }
-        (HVal::Array(xs, dims), HVal::Array(ys, dims2)) => {
-            if xs.len() != ys.len() {
-                return Err(BackendError::Host(format!(
-                    "elementwise host operation on non-conforming arrays ({} vs {})",
-                    xs.len(),
-                    ys.len()
-                )));
-            }
-            let _ = dims2;
-            let mut out = Vec::with_capacity(xs.len());
-            for (x, y) in xs.into_iter().zip(ys) {
-                out.push(f(x, y)?);
-            }
-            Ok(HVal::Array(out, dims))
-        }
-    }
+    })
 }
 
-/// The number of nodes in a value term (the host-op charge for
-/// evaluating it).
-pub fn value_size(v: &Value) -> u64 {
-    let mut n = 0u64;
-    v.walk(&mut |_| n += 1);
-    n
+/// Run `program`'s tape on `m` and return the captured finals. With
+/// `PROFILE`, `m` is taken to hold no data: what it hands back is
+/// unknown, and array values carry no elements. On failure every array
+/// the program still holds is freed before the error is returned.
+pub(crate) fn execute<M: Machine, const PROFILE: bool>(
+    m: &mut M,
+    program: &CompiledProgram,
+) -> Result<HashMap<String, Final>, Halt> {
+    let tape = &program.host;
+    let mut it = Interp::<M, PROFILE> {
+        m,
+        tape,
+        scalars: vec![None; tape.scalars.len()],
+        arrays: vec![None; tape.arrays.len()],
+        counters: vec![0; tape.counters],
+        fuel: if PROFILE {
+            PROFILE_WHILE_FUEL
+        } else {
+            RUN_WHILE_FUEL
+        },
+        finals: HashMap::new(),
+    };
+    let ran = it.run(program);
+    if ran.is_err() {
+        for id in it.arrays.iter().flatten() {
+            // Best effort: the error being reported is the first one.
+            let _ = it.m.free(*id);
+        }
+    }
+    ran.map(|()| it.finals)
+}
+
+struct Interp<'a, M: Machine, const PROFILE: bool> {
+    m: &'a mut M,
+    tape: &'a HostTape,
+    scalars: Vec<Scalar>,
+    arrays: Vec<Option<M::Id>>,
+    counters: Vec<i64>,
+    fuel: u64,
+    finals: HashMap<String, Final>,
+}
+
+impl<M: Machine, const PROFILE: bool> Interp<'_, M, PROFILE> {
+    /// How many elements an `n`-element array value carries.
+    fn lanes(n: usize) -> usize {
+        if PROFILE {
+            0
+        } else {
+            n
+        }
+    }
+
+    /// A number the machine handed back, read as an element of `elem`.
+    fn from_machine(x: f64, elem: ScalarType) -> Result<Scalar, NirError> {
+        if PROFILE {
+            return Ok(None);
+        }
+        NScalar::F64(x).convert(elem).map(Some)
+    }
+
+    fn run(&mut self, program: &CompiledProgram) -> Result<(), Halt> {
+        let tape = self.tape;
+        // Dispatch argument buffers, reused: a steady-state loop of
+        // dispatches, shifts, reductions and element moves allocates
+        // nothing on the host.
+        let (mut ids, mut args) = (Vec::new(), Vec::new());
+        let mut pc = 0;
+        while let Some(op) = tape.ops.get(pc) {
+            pc += 1;
+            match op {
+                Op::Scalar(slot, init) => {
+                    let ty = tape.scalars[*slot].ty;
+                    self.scalars[*slot] = match init {
+                        Some(e) => convert(self.scalar(e)?, ty)?,
+                        None => Some(NScalar::zero(ty)),
+                    };
+                }
+                Op::Alloc(array, init) => {
+                    let grid = &tape.arrays[*array].grid;
+                    let id = self.m.alloc_with_bounds(&grid.dims, &grid.lower);
+                    self.arrays[*array] = Some(id);
+                    self.m.charge_host_ops(2);
+                    if let Some(e) = init {
+                        let v = to_machine(self.scalar(e)?)?;
+                        self.m.write(id, &vec![v; Self::lanes(len(&grid.dims))])?;
+                    }
+                }
+                Op::Leave(scalars, arrays) => {
+                    for slot in scalars.clone() {
+                        // Logicals show as the machine's 0/1 words.
+                        let v = convert(self.scalars[slot], ScalarType::Float64)?;
+                        self.capture(&tape.scalars[slot].name, Final::Scalar(to_machine(v)?));
+                    }
+                    for slot in arrays.clone() {
+                        if let Some(id) = self.arrays[slot] {
+                            let data = self.m.take(id)?;
+                            self.arrays[slot] = None;
+                            self.capture(&tape.arrays[slot].name, Final::Array(data));
+                        }
+                    }
+                }
+                Op::Dispatch(block, params, scalars) => {
+                    ids.clear();
+                    args.clear();
+                    for p in params {
+                        ids.push(match p {
+                            Arg::Array(a) => self.id(*a)?,
+                            Arg::Coord(g, axis) => self.m.coordinates(&g.dims, &g.lower, *axis),
+                        });
+                    }
+                    for e in scalars {
+                        args.push(to_machine(self.scalar(e)?)?);
+                    }
+                    self.m
+                        .charge_host_ops(2 + ids.len() as u64 + args.len() as u64);
+                    let routine = &program.blocks[*block].routine;
+                    self.m.dispatch(routine, &ids, &args)?;
+                }
+                Op::Shift(dst, src, dim, shift, boundary) => {
+                    let axis = self.axis(dim, tape.arrays[*src].grid.dims.len(), "CSHIFT DIM")?;
+                    let shift = self.need(shift, "CSHIFT SHIFT")?.to_i64()?;
+                    let (src_id, dst_id) = (self.id(*src)?, self.id(*dst)?);
+                    let tmp = match boundary {
+                        None => self.m.cshift(src_id, axis, shift)?,
+                        Some(b) => {
+                            let b = to_machine(self.scalar(b)?)?;
+                            self.m.eoshift(src_id, axis, shift, b)?
+                        }
+                    };
+                    if let Err(e) = self.m.assign(dst_id, tmp) {
+                        let _ = self.m.free(tmp);
+                        return Err(e.into());
+                    }
+                    self.m.charge_host_ops(4);
+                }
+                Op::Move(dst, mask, src, ops) => {
+                    self.m.charge_host_ops(*ops);
+                    self.host_move(dst, mask, src)?;
+                }
+                Op::Charge(n) => self.m.charge_host_ops(*n),
+                Op::DoInit(counter, lo, hi, exit) => {
+                    self.counters[*counter] = *lo;
+                    if lo > hi {
+                        pc = *exit;
+                    }
+                }
+                Op::DoNext(counter, hi, body) => {
+                    if self.counters[*counter] < *hi {
+                        self.counters[*counter] += 1;
+                        pc = *body;
+                    }
+                }
+                Op::Branch(cond, ops, looping, target) => {
+                    self.m.charge_host_ops(*ops);
+                    let what = if *looping {
+                        "WHILE condition"
+                    } else {
+                        "IF condition"
+                    };
+                    if !self.need(cond, what)?.to_bool()? {
+                        pc = *target;
+                    }
+                }
+                Op::Jump(target) => {
+                    if *target < pc {
+                        self.fuel -= 1;
+                        if self.fuel == 0 {
+                            return host("WHILE exceeded fuel".into());
+                        }
+                    }
+                    pc = *target;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn host_move(&mut self, dst: &Dst, mask: &Expr, src: &Expr) -> Result<(), Halt> {
+        let tape = self.tape;
+        match dst {
+            Dst::Scalar(slot) => match self.scalar(mask)? {
+                Some(g) => {
+                    if g.to_bool()? {
+                        let v = self.scalar(src)?;
+                        self.scalars[*slot] = convert(v, tape.scalars[*slot].ty)?;
+                    }
+                }
+                // A guard only known at run time. If the source would
+                // touch the machine, the call sequence depends on it; a
+                // machine-silent source merely leaves the scalar unknown.
+                None if src.touches_machine() => {
+                    return data_dependent(format!(
+                        "masked host move into '{}' guards machine traffic",
+                        tape.scalars[*slot].name
+                    ));
+                }
+                None => self.scalars[*slot] = None,
+            },
+            Dst::Elem(array, subs) => {
+                let slot = &tape.arrays[*array];
+                let Some(g) = self.scalar(mask)? else {
+                    return data_dependent(format!(
+                        "masked element write into '{}' guards machine traffic",
+                        slot.name
+                    ));
+                };
+                if g.to_bool()? {
+                    let id = self.id(*array)?;
+                    let flat = self.flat(*array, subs)?;
+                    let v = convert(self.scalar(src)?, slot.elem)?;
+                    self.m.host_write_elem(id, flat, to_machine(v)?)?;
+                }
+            }
+            Dst::Section(array, section) => {
+                // A data motion the grid network cannot express
+                // (misaligned sections, host-context whole-array moves).
+                let (slot, id) = (&tape.arrays[*array], self.id(*array)?);
+                let (mask, src) = (self.value(mask)?, self.value(src)?);
+                let mut data = self.m.read(id)?;
+                let n = section.iter().map(SectionRange::len).product();
+                mask.conforms(n, "mask")?;
+                src.conforms(n, "source")?;
+                let flats = section_flats(&slot.grid, section).take(Self::lanes(n));
+                for (k, flat) in flats.enumerate() {
+                    let (Some(g), Some(v)) = (mask.at(k), src.at(k)) else {
+                        return host("host move operands do not conform".into());
+                    };
+                    if g.to_bool()? {
+                        data[flat] = v.convert(slot.elem)?.to_f64()?;
+                    }
+                }
+                self.m.write(id, &data)?;
+                self.m.charge_router_move(id)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// First capture wins: an inner scope that shadows a name, or the
+    /// first trip of a loop that redeclares it, is what the final shows.
+    fn capture(&mut self, name: &str, value: Final) {
+        if !self.finals.contains_key(name) {
+            self.finals.insert(name.to_string(), value);
+        }
+    }
+
+    fn id(&self, array: usize) -> Result<M::Id, Halt> {
+        match self.arrays[array] {
+            Some(id) => Ok(id),
+            None => host(format!(
+                "'{}' is used outside its scope",
+                self.tape.arrays[array].name
+            )),
+        }
+    }
+
+    /// Run `f`, then free the temporary `tmp` whether or not it failed.
+    fn scratch<T>(
+        &mut self,
+        tmp: M::Id,
+        f: impl FnOnce(&mut Self) -> Result<T, Halt>,
+    ) -> Result<T, Halt> {
+        let out = f(self);
+        let freed = self.m.free(tmp);
+        let out = out?;
+        freed?;
+        Ok(out)
+    }
+
+    fn flat(&mut self, array: usize, subs: &[Expr]) -> Result<usize, Halt> {
+        let grid = &self.tape.arrays[array].grid;
+        let mut flat = 0;
+        for (k, e) in subs.iter().enumerate() {
+            // A subscript only known at run time moves no call, so a
+            // profile passes over it; a run knows them all.
+            let Some(c) = self.scalar(e)? else {
+                continue;
+            };
+            let c = c.to_i64()?;
+            let off = c - grid.lower[k];
+            if off < 0 || off as usize >= grid.dims[k] {
+                return host(format!("subscript {c} out of bounds in axis {}", k + 1));
+            }
+            flat = flat * grid.dims[k] + off as usize;
+        }
+        Ok(flat)
+    }
+
+    /// A value that decides control flow or call geometry: it must be
+    /// known, or no exact static profile exists.
+    fn need(&mut self, e: &Expr, what: &str) -> Result<NScalar, Halt> {
+        match self.scalar(e)? {
+            Some(s) => Ok(s),
+            None => data_dependent(format!("{what} is only known at run time")),
+        }
+    }
+
+    /// The zero-based axis a one-based `DIM` names among `rank`.
+    fn axis(&mut self, dim: &Expr, rank: usize, what: &str) -> Result<usize, Halt> {
+        let dim = self.need(dim, what)?.to_i64()?;
+        if dim < 1 || dim as usize > rank {
+            return host(format!("{what}={dim} is outside 1..={rank}"));
+        }
+        Ok(dim as usize - 1)
+    }
+
+    fn scalar(&mut self, e: &Expr) -> Result<Scalar, Halt> {
+        match self.value(e)? {
+            Val::Scalar(s) => Ok(s),
+            Val::Array(_) => host(format!("array value where the host needs a scalar: {e}")),
+        }
+    }
+
+    fn array(&mut self, e: &Expr, of: Intrinsic) -> Result<Arr, Halt> {
+        match self.value(e)? {
+            Val::Array(a) => Ok(a),
+            Val::Scalar(_) => host(format!("{} of a scalar", of.name())),
+        }
+    }
+
+    fn value(&mut self, e: &Expr) -> Result<Val, Halt> {
+        let tape = self.tape;
+        Ok(match e {
+            Expr::Const(c) => Val::Scalar(Some(*c)),
+            Expr::Var(slot) => Val::Scalar(self.scalars[*slot]),
+            Expr::Index(c) => Val::Scalar(Some(NScalar::I32(self.counters[*c] as i32))),
+            Expr::Elem(a, subs) => {
+                let id = self.id(*a)?;
+                let flat = self.flat(*a, subs)?;
+                let x = self.m.host_read_elem(id, flat)?;
+                Val::Scalar(Self::from_machine(x, tape.arrays[*a].elem)?)
+            }
+            Expr::Whole(a) => {
+                let slot = &tape.arrays[*a];
+                let data = self.m.read(self.id(*a)?)?;
+                Val::Array(Arr {
+                    data: typed(data, slot.elem)?,
+                    dims: slot.grid.dims.clone(),
+                })
+            }
+            Expr::Section(a, ranges) => {
+                let slot = &tape.arrays[*a];
+                let data = self.m.read(self.id(*a)?)?;
+                let dims: Vec<usize> = ranges.iter().map(SectionRange::len).collect();
+                let picked = section_flats(&slot.grid, ranges)
+                    .take(Self::lanes(len(&dims)))
+                    .map(|f| NScalar::F64(data[f]).convert(slot.elem));
+                Val::Array(Arr {
+                    data: picked.collect::<Result<_, _>>()?,
+                    dims,
+                })
+            }
+            Expr::Coords(grid, axis) => {
+                let Grid { dims, lower } = &**grid;
+                let inner = len(&dims[axis + 1..]);
+                let coord = |i| lower[*axis] + ((i / inner) % dims[*axis]) as i64;
+                let data = (0..Self::lanes(len(dims))).map(|i| NScalar::I32(coord(i) as i32));
+                Val::Array(Arr {
+                    data: data.collect(),
+                    dims: dims.clone(),
+                })
+            }
+            Expr::Unary(op, a) => match self.value(a)? {
+                Val::Scalar(s) => Val::Scalar(s.map(|x| apply_unop(*op, x)).transpose()?),
+                Val::Array(mut arr) => {
+                    for x in &mut arr.data {
+                        *x = apply_unop(*op, *x)?;
+                    }
+                    Val::Array(arr)
+                }
+            },
+            Expr::Binary(op, a, b) => {
+                let (a, b) = (self.value(a)?, self.value(b)?);
+                zip(a, b, |x, y| apply_binop(*op, x, y))?
+            }
+            Expr::Call(f, args) => self.call(*f, args)?,
+        })
+    }
+
+    fn call(&mut self, f: Intrinsic, args: &[Expr]) -> Result<Val, Halt> {
+        Ok(match f {
+            Intrinsic::Reduce(op) if args.len() == 1 => {
+                // A plain array variable reduces in place; anything else
+                // is materialised, reduced and freed.
+                if let Expr::Whole(a) = &args[0] {
+                    let x = self.m.reduce(self.id(*a)?, op)?;
+                    let elem = self.tape.arrays[*a].elem;
+                    return Ok(Val::Scalar(Self::from_machine(x, elem)?));
+                }
+                let arr = self.array(&args[0], f)?;
+                let tmp = self.m.alloc_from(&arr.dims, raw(&arr.data)?);
+                let x = self.scratch(tmp, |it| Ok(it.m.reduce(tmp, op)?))?;
+                Val::Scalar(Self::from_machine(x, ScalarType::Float64)?)
+            }
+            Intrinsic::Reduce(op) => {
+                // Along an axis: computed on the host, charged as a
+                // reduction over the source geometry.
+                let Arr { data, mut dims } = self.array(&args[0], f)?;
+                let axis = self.axis(&args[1], dims.len(), "reduction DIM")?;
+                let (extent, inner) = (dims[axis], len(&dims[axis + 1..]));
+                let (elem, raw) = (elem_of(&data), raw(&data)?);
+                let (init, step): (f64, fn(f64, f64) -> f64) = match op {
+                    ReduceOp::Sum => (0.0, |acc, v| acc + v),
+                    ReduceOp::Max => (f64::NEG_INFINITY, f64::max),
+                    ReduceOp::Min => (f64::INFINITY, f64::min),
+                };
+                let tmp = self.m.alloc(&dims);
+                self.scratch(tmp, |it| {
+                    it.m.write(tmp, &raw)?;
+                    Ok(it.m.reduce(tmp, ReduceOp::Sum)?)
+                })?;
+                dims.remove(axis);
+                // Output `j` folds the `extent` inputs of its column.
+                let column =
+                    |j| (0..extent).map(move |a| (j / inner * extent + a) * inner + j % inner);
+                let out = (0..Self::lanes(len(&dims))).map(|j| {
+                    NScalar::F64(column(j).map(|k| raw[k]).fold(init, step)).convert(elem)
+                });
+                let data = out.collect::<Result<_, _>>()?;
+                Val::Array(Arr { data, dims })
+            }
+            Intrinsic::Spread => {
+                let Arr { data, mut dims } = self.array(&args[0], f)?;
+                let axis = self.axis(&args[1], dims.len() + 1, "SPREAD DIM")?;
+                let n = self.need(&args[2], "SPREAD NCOPIES")?.to_i64()?;
+                let Ok(n) = usize::try_from(n) else {
+                    return host(format!("SPREAD NCOPIES={n} is negative"));
+                };
+                let inner = len(&dims[axis..]);
+                let mut out = Vec::with_capacity(data.len() * n);
+                for row in data.chunks(inner.max(1)) {
+                    for _ in 0..n {
+                        out.extend_from_slice(row);
+                    }
+                }
+                dims.insert(axis, n);
+                // A broadcast rides the grid network: charge one grid
+                // communication over the result geometry.
+                let tmp = self.m.alloc(&dims);
+                self.scratch(tmp, |it| Ok(it.m.charge_router_move(tmp)?))?;
+                Val::Array(Arr { data: out, dims })
+            }
+            Intrinsic::Merge => {
+                let t = self.value(&args[0])?;
+                let e = self.value(&args[1])?;
+                let m = self.value(&args[2])?;
+                let dims = [&t, &e, &m].iter().find_map(|v| match v {
+                    Val::Array(a) => Some(a.dims.clone()),
+                    Val::Scalar(_) => None,
+                });
+                let Some(dims) = dims else {
+                    return Ok(match m.at(0) {
+                        Some(g) if g.to_bool()? => t,
+                        Some(_) => e,
+                        None => m,
+                    });
+                };
+                let mut data = Vec::with_capacity(Self::lanes(len(&dims)));
+                for k in 0..Self::lanes(len(&dims)) {
+                    let (Some(g), Some(t), Some(e)) = (m.at(k), t.at(k), e.at(k)) else {
+                        return host("merge arguments do not conform".into());
+                    };
+                    data.push(if g.to_bool()? { t } else { e });
+                }
+                Val::Array(Arr { data, dims })
+            }
+            Intrinsic::Transpose => {
+                let Arr { data, dims } = self.array(&args[0], f)?;
+                let &[r, c] = dims.as_slice() else {
+                    return host(format!(
+                        "transpose requires rank 2, got rank {}",
+                        dims.len()
+                    ));
+                };
+                let mut out = data.clone();
+                for (k, x) in data.into_iter().enumerate() {
+                    out[(k % c) * r + k / c] = x;
+                }
+                // A general permutation: charge the router over a
+                // temporary of the result's geometry.
+                let tmp = self.m.alloc(&[c, r]);
+                self.scratch(tmp, |it| Ok(it.m.charge_router_move(tmp)?))?;
+                Val::Array(Arr {
+                    data: out,
+                    dims: vec![c, r],
+                })
+            }
+            Intrinsic::Cshift | Intrinsic::Eoshift => {
+                // Host-context communication (a composite argument, a
+                // distance depending on DO indices): materialise the
+                // argument, call the runtime, take the result back.
+                let Arr { data, dims } = self.array(&args[0], f)?;
+                let shift = self.need(&args[1], "host-context SHIFT")?.to_i64()?;
+                let axis = self.axis(&args[2], dims.len(), "host-context DIM")?;
+                let elem = elem_of(&data);
+                let tmp = self.m.alloc_from(&dims, raw(&data)?);
+                let out = self.scratch(tmp, |it| {
+                    let shifted = match (f, args.get(3)) {
+                        (Intrinsic::Cshift, _) => it.m.cshift(tmp, axis, shift)?,
+                        (_, None) => it.m.eoshift(tmp, axis, shift, 0.0)?,
+                        (_, Some(b)) => {
+                            let b = to_machine(it.scalar(b)?)?;
+                            it.m.eoshift(tmp, axis, shift, b)?
+                        }
+                    };
+                    it.m.take(shifted).map_err(|e| {
+                        let _ = it.m.free(shifted);
+                        e.into()
+                    })
+                })?;
+                Val::Array(Arr {
+                    data: typed(out, elem)?,
+                    dims,
+                })
+            }
+        })
+    }
 }

@@ -13,16 +13,19 @@
 //!   PEAC virtual-subgrid loop: vectorization, chained multiply-add
 //!   recognition, load chaining, lifetime-analysis register allocation
 //!   with spill placement, and load/store overlap scheduling.
-//! * **FE/NIR** ([`fe`]) — executes the remainder program as the host:
-//!   memory allocation, serial loops and scalar code, CM runtime
-//!   communication calls, and PEAC dispatch over the IFIFO. (In this
-//!   reproduction the "SPARC assembly" half of FE/NIR is an interpreted
-//!   host program with a per-operation cost model — the documented
-//!   substitution of DESIGN.md; the paper itself used "a simple
-//!   memory-to-memory load/store model" here.)
+//! * **FE/NIR** ([`tape`], [`fe`]) — compiles the remainder program for
+//!   the host: memory allocation, serial loops and scalar code, CM
+//!   runtime communication calls, and PEAC dispatch over the IFIFO. (In
+//!   this reproduction the "SPARC assembly" half of FE/NIR is a flat,
+//!   slot-resolved [`tape::HostTape`] run by one loop with a
+//!   per-operation cost model — the documented substitution of
+//!   DESIGN.md; the paper itself used "a simple memory-to-memory
+//!   load/store model" here.)
 //!
-//! [`compile`] runs CM2/NIR over an optimized program;
-//! [`fe::HostExecutor`] runs the result on a simulated machine.
+//! [`compile`] runs CM2/NIR over an optimized program and lowers the
+//! host remainder to its tape; [`fe::HostExecutor`] runs the result on
+//! a simulated machine, and [`plan::profile`] runs the same loop over a
+//! machine that only counts.
 //!
 //! ## Example
 //!
@@ -41,11 +44,13 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+mod count;
 pub mod fe;
 pub mod machine;
 pub mod pe;
 pub mod plan;
 pub mod split;
+pub mod tape;
 
 pub use machine::Machine;
 
@@ -54,7 +59,6 @@ use std::fmt;
 
 use f90y_nir::{Imp, MoveClause, Shape, Value};
 use f90y_peac::Routine;
-use f90y_transform::program::Binder;
 
 /// Errors from the target-specific phase.
 #[derive(Debug, Clone, PartialEq)]
@@ -158,80 +162,14 @@ impl NodeBlock {
     }
 }
 
-/// A statement of the host remainder program.
-#[derive(Debug, Clone, PartialEq)]
-pub enum HostStmt {
-    /// Push arguments over the IFIFO and run node block `i`.
-    Dispatch(usize),
-    /// A grid communication: `dst = cshift/eoshift(src, shift[, boundary])`.
-    Comm {
-        /// Destination CM array variable.
-        dst: String,
-        /// Source CM array variable.
-        src: String,
-        /// 1-based axis, host-evaluated.
-        dim: Value,
-        /// Shift amount, host-evaluated.
-        shift: Value,
-        /// End-off boundary; `None` means circular.
-        boundary: Option<Value>,
-    },
-    /// A host-executed move (scalar assignments, element moves,
-    /// misaligned section copies, reductions into scalars).
-    HostMove(Vec<MoveClause>),
-    /// Serial iteration driven by the host.
-    Do {
-        /// Loop domain name (for `do_index`).
-        dom: String,
-        /// Loop shape (possibly referencing bound domains).
-        shape: Shape,
-        /// Body statements.
-        body: Vec<HostStmt>,
-    },
-    /// Host `WHILE`.
-    While {
-        /// Continuation condition (host-evaluated scalar).
-        cond: Value,
-        /// Body statements.
-        body: Vec<HostStmt>,
-    },
-    /// Host `IF`.
-    If {
-        /// Condition (host-evaluated scalar).
-        cond: Value,
-        /// Taken branch.
-        then_body: Vec<HostStmt>,
-        /// Untaken branch.
-        else_body: Vec<HostStmt>,
-    },
-    /// Scoped declarations executed by the host (allocation).
-    WithDecl {
-        /// The declarations.
-        decl: f90y_nir::Decl,
-        /// Scope body.
-        body: Vec<HostStmt>,
-    },
-    /// A domain binding.
-    WithDomain {
-        /// Domain name.
-        name: String,
-        /// Bound shape.
-        shape: Shape,
-        /// Scope body.
-        body: Vec<HostStmt>,
-    },
-}
-
 /// The output of the CM2/NIR compiler: node routines plus the host
 /// remainder program.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// Compiled computation blocks.
     pub blocks: Vec<NodeBlock>,
-    /// Outer binders of the unit (domains, global declarations).
-    pub binders: Vec<Binder>,
-    /// The host remainder program.
-    pub host: Vec<HostStmt>,
+    /// The host remainder program, outer binders included, compiled.
+    pub host: tape::HostTape,
 }
 
 impl CompiledProgram {

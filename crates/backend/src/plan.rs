@@ -1,43 +1,31 @@
-//! Static machine-call profiling: predict every runtime call a
-//! [`CompiledProgram`] will make — before any machine runs.
+//! Static machine-call profiling: every runtime call a
+//! [`CompiledProgram`] will make, before any machine runs.
 //!
-//! [`profile`] walks the host program exactly as
-//! [`crate::fe::HostExecutor`] executes it, but with *no data*: scalars
-//! are tracked as known constants where they fold statically (loop
-//! indices, literals, integer arithmetic) and `Unknown` otherwise;
-//! arrays are tracked as geometry only (extents, lower bounds, element
-//! type). Every machine call the executor would issue — dispatches,
-//! grid shifts, router moves, reductions, whole-array reads and writes,
-//! element traffic, coordinate generation — is recorded with the
-//! geometry that determines its cost, producing a [`StaticProfile`]
-//! whose counts reconcile bit-exactly with the machine counters and
-//! flight-recorder events of a real run.
-//!
-//! The mirror is sound because the walk *is* the executor's control
-//! flow: both resolve the same shapes, unroll the same `DO` loops over
-//! the same statically-bounded domains, and issue the same call
-//! sequence per statement. Where control flow or communication geometry
-//! genuinely depends on runtime data (an `IF` on a reduction result, a
-//! shift distance read from an array), the profile is not computable
-//! and [`PlanError::DataDependent`] says exactly which value broke it —
-//! the honest answer, rather than an approximate count.
+//! [`profile`] runs the host tape through the same loop that executes
+//! it ([`crate::fe`]), over a machine that keeps geometry and counts
+//! calls but holds no data ([`crate::count`]). Literals, loop indices
+//! and what folds from them are known; anything read back from the
+//! machine is not. The [`StaticProfile`] is what that machine counted,
+//! so it reconciles with the counters and flight-recorder events of a
+//! real run by construction. Where control flow or call geometry
+//! depends on a value only known at run time (an `IF` on a reduction
+//! result, a shift distance read from an array) no exact profile
+//! exists, and [`PlanError::DataDependent`] names the value — the
+//! honest answer, rather than an approximate count.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use f90y_nir::array::Scalar as NScalar;
-use f90y_nir::eval::{apply_binop, apply_unop};
-use f90y_nir::{Const, Decl, FieldAction, LValue, MoveClause, ScalarType, Shape, Type, Value};
-use f90y_transform::program::Binder;
-
-use crate::fe::value_size;
-use crate::{ArrayParam, CompiledProgram, HostStmt};
+use crate::count::Counter;
+use crate::fe::{execute, Halt};
+use crate::{BackendError, CompiledProgram};
 
 /// One predicted dispatch: which routine launches, with how many
 /// arguments, over how many elements.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchSite {
-    /// The node routine's name.
-    pub routine: String,
+    /// The node routine's name (shared by every site of the routine).
+    pub routine: Arc<str>,
     /// Array (pointer) arguments, coordinate streams included.
     pub array_args: usize,
     /// Scalar arguments pushed over the IFIFO.
@@ -50,8 +38,8 @@ pub struct DispatchSite {
 /// One predicted grid shift (`CSHIFT`/`EOSHIFT` runtime call).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShiftSite {
-    /// Extents of the shifted array.
-    pub dims: Vec<usize>,
+    /// Extents of the shifted array (shared by every site on one array).
+    pub dims: Arc<[usize]>,
     /// Zero-based shift axis.
     pub axis: usize,
     /// Shift distance (sign = direction).
@@ -112,8 +100,7 @@ pub enum PlanError {
     /// A value that decides control flow or communication geometry is
     /// only known at run time.
     DataDependent(String),
-    /// The host program is malformed (the dynamic executor would fail
-    /// the same way).
+    /// The host program is malformed (a run fails the same way).
     Malformed(String),
 }
 
@@ -128,597 +115,24 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Compute the static machine-call profile of a compiled program.
+/// Compute the static machine-call profile of a compiled program. The
+/// walk unrolls every loop, so callers that ask repeatedly keep the
+/// answer (`f90y_core::Executable` does).
 ///
 /// # Errors
 ///
 /// [`PlanError::DataDependent`] when a control-flow or communication
-/// decision depends on runtime data; [`PlanError::Malformed`] when the
-/// host program would fail dynamically too.
+/// decision depends on runtime data; [`PlanError::Malformed`] when a
+/// run would fail too.
 pub fn profile(program: &CompiledProgram) -> Result<StaticProfile, PlanError> {
-    let mut planner = Planner {
-        program,
-        scopes: vec![HashMap::new()],
-        domains: HashMap::new(),
-        do_env: Vec::new(),
-        out: StaticProfile::default(),
+    let bare = |e| match e {
+        BackendError::Host(m) => m,
+        other => other.to_string(),
     };
-    for b in &program.binders {
-        match b {
-            Binder::Domain(name, shape) => {
-                let resolved = resolve(shape, &planner.domains)?;
-                planner.domains.insert(name.clone(), resolved);
-            }
-            Binder::Decls(d) => planner.alloc_decls(d)?,
-        }
+    let mut counter = Counter::default();
+    match execute::<_, true>(&mut counter, program) {
+        Ok(_) => Ok(counter.finish()),
+        Err(Halt::DataDependent(e)) => Err(PlanError::DataDependent(bare(e))),
+        Err(Halt::Error(e)) => Err(PlanError::Malformed(bare(e))),
     }
-    planner.exec_stmts(&program.host)?;
-    while let Some(scope) = planner.scopes.pop() {
-        planner.capture(&scope);
-    }
-    Ok(planner.out)
-}
-
-/// Geometry of a live array: everything the cost of a call on it
-/// depends on.
-#[derive(Debug, Clone)]
-struct ArrayInfo {
-    dims: Vec<usize>,
-}
-
-#[derive(Debug, Clone)]
-enum Entry {
-    /// A scalar of a declared type; `None` when its value is only known
-    /// at run time.
-    Scalar(ScalarType, Option<NScalar>),
-    Array(ArrayInfo),
-}
-
-/// The abstract counterpart of the executor's `HVal`.
-#[derive(Debug, Clone)]
-enum SVal {
-    Scalar(Option<NScalar>),
-    /// Array geometry; element values are never tracked.
-    Array(Vec<usize>),
-}
-
-fn resolve(shape: &Shape, domains: &HashMap<String, Shape>) -> Result<Shape, PlanError> {
-    shape
-        .resolve(domains)
-        .map_err(|e| PlanError::Malformed(e.to_string()))
-}
-
-struct Planner<'p> {
-    program: &'p CompiledProgram,
-    scopes: Vec<HashMap<String, Entry>>,
-    domains: HashMap<String, Shape>,
-    do_env: Vec<(String, Vec<i64>)>,
-    out: StaticProfile,
-}
-
-impl Planner<'_> {
-    fn capture(&mut self, scope: &HashMap<String, Entry>) {
-        // The executor reads every array back when its scope exits.
-        for entry in scope.values() {
-            if matches!(entry, Entry::Array(_)) {
-                self.out.array_reads += 1;
-            }
-        }
-    }
-
-    fn alloc_decls(&mut self, d: &Decl) -> Result<(), PlanError> {
-        for (id, ty, init) in d.bindings() {
-            let entry = match ty {
-                Type::Scalar(st) => {
-                    let mut v = Some(NScalar::zero(*st));
-                    if let Some(e) = init {
-                        let s = self.eval_scalar(e)?;
-                        v = s.and_then(|s| s.convert(*st).ok());
-                    }
-                    Entry::Scalar(*st, v)
-                }
-                Type::DField { shape, elem: _ } => {
-                    let resolved = resolve(shape, &self.domains)?;
-                    let extents = resolved.extents();
-                    let dims: Vec<usize> = extents.iter().map(|e| e.len()).collect();
-                    self.out.host_ops += 2;
-                    if init.is_some() {
-                        // Initializer value is irrelevant to the call:
-                        // one whole-array write either way.
-                        if let Some(e) = init {
-                            self.eval_scalar(e)?;
-                        }
-                        self.out.array_writes += 1;
-                    }
-                    Entry::Array(ArrayInfo { dims })
-                }
-            };
-            self.scopes
-                .last_mut()
-                .expect("planner always has a scope")
-                .insert(id.clone(), entry);
-        }
-        Ok(())
-    }
-
-    fn lookup(&self, name: &str) -> Result<&Entry, PlanError> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.get(name))
-            .ok_or_else(|| PlanError::Malformed(format!("unbound variable '{name}'")))
-    }
-
-    fn lookup_array(&self, name: &str) -> Result<ArrayInfo, PlanError> {
-        match self.lookup(name)? {
-            Entry::Array(a) => Ok(a.clone()),
-            Entry::Scalar(..) => Err(PlanError::Malformed(format!("'{name}' is a scalar"))),
-        }
-    }
-
-    fn exec_stmts(&mut self, stmts: &[HostStmt]) -> Result<(), PlanError> {
-        for s in stmts {
-            self.exec_stmt(s)?;
-        }
-        Ok(())
-    }
-
-    fn exec_stmt(&mut self, stmt: &HostStmt) -> Result<(), PlanError> {
-        match stmt {
-            HostStmt::Dispatch(i) => self.dispatch(*i),
-            HostStmt::Comm {
-                dst,
-                src,
-                dim,
-                shift,
-                boundary,
-            } => {
-                let dim = self.need_i64(dim, "CSHIFT DIM")?;
-                let shift = self.need_i64(shift, "CSHIFT SHIFT")?;
-                let src_ref = self.lookup_array(src)?;
-                let _dst_ref = self.lookup_array(dst)?;
-                if dim < 1 || dim as usize > src_ref.dims.len() {
-                    return Err(PlanError::Malformed(format!("bad CSHIFT DIM={dim}")));
-                }
-                if let Some(b) = boundary {
-                    // Boundary value is cost-free; evaluate only for its
-                    // element-traffic side effects.
-                    self.eval_scalar(b)?;
-                }
-                self.out.shifts.push(ShiftSite {
-                    dims: src_ref.dims,
-                    axis: dim as usize - 1,
-                    shift,
-                    eoshift: boundary.is_some(),
-                });
-                self.out.array_reads += 1; // shifted temporary read back
-                self.out.array_writes += 1; // written into the target
-                self.out.host_ops += 4;
-                Ok(())
-            }
-            HostStmt::HostMove(clauses) => {
-                for c in clauses {
-                    self.exec_host_clause(c)?;
-                }
-                Ok(())
-            }
-            HostStmt::Do { dom, shape, body } => {
-                let resolved = resolve(shape, &self.domains)?;
-                for p in resolved.points() {
-                    self.out.host_ops += 2;
-                    self.do_env.push((dom.clone(), p));
-                    let r = self.exec_stmts(body);
-                    self.do_env.pop();
-                    r?;
-                }
-                Ok(())
-            }
-            HostStmt::While { cond, body } => {
-                let mut fuel: u64 = 1_000_000;
-                loop {
-                    self.out.host_ops += value_size(cond);
-                    let c = self.need_bool(cond, "WHILE condition")?;
-                    if !c {
-                        return Ok(());
-                    }
-                    self.exec_stmts(body)?;
-                    fuel -= 1;
-                    if fuel == 0 {
-                        return Err(PlanError::Malformed("static WHILE exceeded fuel".into()));
-                    }
-                }
-            }
-            HostStmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                self.out.host_ops += value_size(cond);
-                if self.need_bool(cond, "IF condition")? {
-                    self.exec_stmts(then_body)
-                } else {
-                    self.exec_stmts(else_body)
-                }
-            }
-            HostStmt::WithDecl { decl, body } => {
-                self.scopes.push(HashMap::new());
-                let r = self.alloc_decls(decl).and_then(|()| self.exec_stmts(body));
-                let scope = self.scopes.pop().expect("scope pushed above");
-                self.capture(&scope);
-                r
-            }
-            HostStmt::WithDomain { name, shape, body } => {
-                let old = self.domains.insert(name.clone(), shape.clone());
-                let r = self.exec_stmts(body);
-                match old {
-                    Some(s) => {
-                        self.domains.insert(name.clone(), s);
-                    }
-                    None => {
-                        self.domains.remove(name);
-                    }
-                }
-                r
-            }
-        }
-    }
-
-    fn dispatch(&mut self, index: usize) -> Result<(), PlanError> {
-        let block = self
-            .program
-            .blocks
-            .get(index)
-            .ok_or_else(|| PlanError::Malformed(format!("unknown block {index}")))?;
-        let extents = block.shape.extents();
-        let dims: Vec<usize> = extents.iter().map(|e| e.len()).collect();
-        let lower: Vec<i64> = extents.iter().map(|e| e.lo).collect();
-        for p in &block.array_params {
-            match p {
-                ArrayParam::Read(v) | ArrayParam::Write(v) => {
-                    self.lookup_array(v)?;
-                }
-                ArrayParam::Coord(dim) => {
-                    self.out
-                        .coord_keys
-                        .insert((dims.clone(), lower.clone(), *dim - 1));
-                }
-            }
-        }
-        for v in &block.scalar_params {
-            self.eval_scalar(v)?;
-        }
-        self.out.host_ops += 2 + block.array_params.len() as u64 + block.scalar_params.len() as u64;
-        self.out.dispatches.push(DispatchSite {
-            routine: block.routine.name().to_string(),
-            array_args: block.array_params.len(),
-            scalar_args: block.scalar_params.len(),
-            elems: dims.iter().product(),
-        });
-        Ok(())
-    }
-
-    fn exec_host_clause(&mut self, c: &MoveClause) -> Result<(), PlanError> {
-        self.out.host_ops += value_size(&c.src) + value_size(&c.mask);
-        match &c.dst {
-            LValue::SVar(name) => {
-                match self.eval_scalar(&c.mask)? {
-                    Some(m) => {
-                        let enabled = m
-                            .to_bool()
-                            .map_err(|e| PlanError::Malformed(e.to_string()))?;
-                        if !enabled {
-                            return Ok(());
-                        }
-                        let v = self.eval_scalar(&c.src)?;
-                        self.assign_scalar(name, v)?;
-                    }
-                    None => {
-                        // The guard is runtime data. If evaluating the
-                        // source would touch the machine, the call count
-                        // depends on it; a machine-silent source merely
-                        // leaves the scalar unknown.
-                        if touches_machine(&c.src) {
-                            return Err(PlanError::DataDependent(format!(
-                                "masked host move into '{name}' guards machine traffic"
-                            )));
-                        }
-                        self.assign_scalar(name, None)?;
-                    }
-                }
-                Ok(())
-            }
-            LValue::AVar(name, FieldAction::Subscript(ixs)) => {
-                match self.eval_scalar(&c.mask)? {
-                    Some(m) => {
-                        let enabled = m
-                            .to_bool()
-                            .map_err(|e| PlanError::Malformed(e.to_string()))?;
-                        if !enabled {
-                            return Ok(());
-                        }
-                        let arr = self.lookup_array(name)?;
-                        self.flat_index(&arr, ixs)?;
-                        self.eval_scalar(&c.src)?;
-                        self.out.host_elem_writes += 1;
-                    }
-                    None => {
-                        return Err(PlanError::DataDependent(format!(
-                            "masked element write into '{name}' guards machine traffic"
-                        )));
-                    }
-                }
-                Ok(())
-            }
-            LValue::AVar(name, fa @ (FieldAction::Everywhere | FieldAction::Section(_))) => {
-                // Router path: the read/merge/write/router sequence runs
-                // regardless of the mask's value.
-                let arr = self.lookup_array(name)?;
-                self.eval_host(&c.mask)?;
-                self.eval_host(&c.src)?;
-                let _ = (fa, arr);
-                self.out.array_reads += 1;
-                self.out.array_writes += 1;
-                self.out.router_moves += 1;
-                Ok(())
-            }
-        }
-    }
-
-    fn assign_scalar(&mut self, name: &str, v: Option<NScalar>) -> Result<(), PlanError> {
-        let entry = self
-            .scopes
-            .iter_mut()
-            .rev()
-            .find_map(|s| s.get_mut(name))
-            .ok_or_else(|| PlanError::Malformed(format!("unbound '{name}'")))?;
-        match entry {
-            Entry::Scalar(st, s) => {
-                *s = v.and_then(|v| v.convert(*st).ok());
-                Ok(())
-            }
-            Entry::Array(_) => Err(PlanError::Malformed(format!(
-                "SVAR target '{name}' is an array"
-            ))),
-        }
-    }
-
-    /// Evaluate each subscript for its side effects; the flat offset
-    /// itself never changes a call count.
-    fn flat_index(&mut self, arr: &ArrayInfo, ixs: &[Value]) -> Result<(), PlanError> {
-        if ixs.len() != arr.dims.len() {
-            return Err(PlanError::Malformed(format!(
-                "rank mismatch: {} subscripts for rank {}",
-                ixs.len(),
-                arr.dims.len()
-            )));
-        }
-        for ix in ixs {
-            self.eval_scalar(ix)?;
-        }
-        Ok(())
-    }
-
-    fn need_i64(&mut self, v: &Value, what: &str) -> Result<i64, PlanError> {
-        match self.eval_scalar(v)? {
-            Some(s) => s.to_i64().map_err(|e| PlanError::Malformed(e.to_string())),
-            None => Err(PlanError::DataDependent(format!(
-                "{what} is only known at run time"
-            ))),
-        }
-    }
-
-    fn need_bool(&mut self, v: &Value, what: &str) -> Result<bool, PlanError> {
-        match self.eval_scalar(v)? {
-            Some(s) => s.to_bool().map_err(|e| PlanError::Malformed(e.to_string())),
-            None => Err(PlanError::DataDependent(format!(
-                "{what} is only known at run time"
-            ))),
-        }
-    }
-
-    fn eval_scalar(&mut self, v: &Value) -> Result<Option<NScalar>, PlanError> {
-        match self.eval_host(v)? {
-            SVal::Scalar(s) => Ok(s),
-            SVal::Array(..) => Err(PlanError::Malformed(format!(
-                "array value where the host needs a scalar: {v}"
-            ))),
-        }
-    }
-
-    fn eval_host(&mut self, v: &Value) -> Result<SVal, PlanError> {
-        match v {
-            Value::Scalar(c) => Ok(SVal::Scalar(Some(match c {
-                Const::I32(i) => NScalar::I32(*i),
-                Const::Bool(b) => NScalar::Bool(*b),
-                Const::F32(x) => NScalar::F32(*x),
-                Const::F64(x) => NScalar::F64(*x),
-            }))),
-            Value::SVar(name) => match self.lookup(name)? {
-                Entry::Scalar(_, s) => Ok(SVal::Scalar(*s)),
-                Entry::Array(_) => Err(PlanError::Malformed(format!("SVAR '{name}' is an array"))),
-            },
-            Value::DoIndex(dom, dim) => {
-                let (_, coords) = self
-                    .do_env
-                    .iter()
-                    .rev()
-                    .find(|(d, _)| d == dom)
-                    .ok_or_else(|| PlanError::Malformed(format!("do_index outside DO '{dom}'")))?;
-                let c = coords.get(*dim - 1).copied().ok_or_else(|| {
-                    PlanError::Malformed(format!("do_index axis {dim} out of range"))
-                })?;
-                Ok(SVal::Scalar(Some(NScalar::I32(c as i32))))
-            }
-            Value::AVar(name, FieldAction::Subscript(ixs)) => {
-                let arr = self.lookup_array(name)?;
-                self.flat_index(&arr, ixs)?;
-                self.out.host_elem_reads += 1;
-                Ok(SVal::Scalar(None))
-            }
-            Value::AVar(name, FieldAction::Everywhere) => {
-                let arr = self.lookup_array(name)?;
-                self.out.array_reads += 1;
-                Ok(SVal::Array(arr.dims))
-            }
-            Value::AVar(name, FieldAction::Section(ranges)) => {
-                let arr = self.lookup_array(name)?;
-                let _ = arr;
-                self.out.array_reads += 1;
-                Ok(SVal::Array(ranges.iter().map(|r| r.len()).collect()))
-            }
-            Value::LocalUnder(shape, dim) => {
-                let resolved = resolve(shape, &self.domains)?;
-                let _ = dim;
-                let dims: Vec<usize> = resolved.extents().iter().map(|e| e.len()).collect();
-                Ok(SVal::Array(dims))
-            }
-            Value::Unary(op, a) => {
-                let a = self.eval_host(a)?;
-                Ok(match a {
-                    SVal::Scalar(Some(s)) => SVal::Scalar(apply_unop(*op, s).ok()),
-                    SVal::Scalar(None) => SVal::Scalar(None),
-                    SVal::Array(d) => SVal::Array(d),
-                })
-            }
-            Value::Binary(op, a, b) => {
-                let a = self.eval_host(a)?;
-                let b = self.eval_host(b)?;
-                Ok(match (a, b) {
-                    (SVal::Scalar(Some(x)), SVal::Scalar(Some(y))) => {
-                        SVal::Scalar(apply_binop(*op, x, y).ok())
-                    }
-                    (SVal::Array(d), _) | (_, SVal::Array(d)) => SVal::Array(d),
-                    _ => SVal::Scalar(None),
-                })
-            }
-            Value::FcnCall(name, args) => self.eval_call(name, args),
-        }
-    }
-
-    fn eval_call(&mut self, name: &str, args: &[(Type, Value)]) -> Result<SVal, PlanError> {
-        match name {
-            "sum" | "maxval" | "minval" if args.len() == 2 => {
-                let SVal::Array(dims) = self.eval_host(&args[0].1)? else {
-                    return Err(PlanError::Malformed(format!("{name} of a scalar")));
-                };
-                let dim = self.need_i64(&args[1].1, "reduction DIM")?;
-                if dim < 1 || dim as usize > dims.len() {
-                    return Err(PlanError::Malformed(format!(
-                        "{name} DIM={dim} out of range"
-                    )));
-                }
-                let axis = dim as usize - 1;
-                // Charged as a materialised reduction over the source.
-                self.out.array_writes += 1;
-                self.out.reduces += 1;
-                let mut out_dims = dims;
-                out_dims.remove(axis);
-                Ok(SVal::Array(out_dims))
-            }
-            "spread" => {
-                let SVal::Array(dims) = self.eval_host(&args[0].1)? else {
-                    return Err(PlanError::Malformed("spread of a scalar".into()));
-                };
-                let dim = self.need_i64(&args[1].1, "SPREAD DIM")?;
-                let n = self.need_i64(&args[2].1, "SPREAD NCOPIES")?;
-                if dim < 1 || dim as usize > dims.len() + 1 || n < 0 {
-                    return Err(PlanError::Malformed(format!(
-                        "bad SPREAD arguments DIM={dim} NCOPIES={n}"
-                    )));
-                }
-                let mut out_dims = dims;
-                out_dims.insert(dim as usize - 1, n as usize);
-                self.out.router_moves += 1;
-                Ok(SVal::Array(out_dims))
-            }
-            "sum" | "maxval" | "minval" => {
-                let arg = &args[0].1;
-                // Fast path: a plain array variable reduces in place.
-                if let Value::AVar(v, FieldAction::Everywhere) = arg {
-                    self.lookup_array(v)?;
-                    self.out.reduces += 1;
-                    return Ok(SVal::Scalar(None));
-                }
-                let SVal::Array(_) = self.eval_host(arg)? else {
-                    return Err(PlanError::Malformed(format!("{name} of a scalar")));
-                };
-                self.out.allocs_from += 1;
-                self.out.reduces += 1;
-                Ok(SVal::Scalar(None))
-            }
-            "merge" => {
-                let t = self.eval_host(&args[0].1)?;
-                let f = self.eval_host(&args[1].1)?;
-                let m = self.eval_host(&args[2].1)?;
-                let dims = [&t, &f, &m].iter().find_map(|v| match v {
-                    SVal::Array(d) => Some(d.clone()),
-                    SVal::Scalar(_) => None,
-                });
-                Ok(match dims {
-                    Some(d) => SVal::Array(d),
-                    None => {
-                        let SVal::Scalar(ms) = m else {
-                            unreachable!("no arrays")
-                        };
-                        match ms.and_then(|s| s.to_bool().ok()) {
-                            Some(true) => t,
-                            Some(false) => f,
-                            None => SVal::Scalar(None),
-                        }
-                    }
-                })
-            }
-            "transpose" => {
-                let SVal::Array(dims) = self.eval_host(&args[0].1)? else {
-                    return Err(PlanError::Malformed("transpose of a scalar".into()));
-                };
-                if dims.len() != 2 {
-                    return Err(PlanError::Malformed(format!(
-                        "transpose requires rank 2, got rank {}",
-                        dims.len()
-                    )));
-                }
-                self.out.router_moves += 1;
-                Ok(SVal::Array(vec![dims[1], dims[0]]))
-            }
-            "cshift" | "eoshift" => {
-                let SVal::Array(dims) = self.eval_host(&args[0].1)? else {
-                    return Err(PlanError::Malformed(format!("{name} of a scalar")));
-                };
-                let shift = self.need_i64(&args[1].1, "host-context SHIFT")?;
-                let dim = self.need_i64(&args[2].1, "host-context DIM")?;
-                if dim < 1 || dim as usize > dims.len() {
-                    return Err(PlanError::Malformed(format!("bad {name} DIM={dim}")));
-                }
-                if name == "eoshift" {
-                    if let Some((_, v)) = args.get(3) {
-                        self.eval_scalar(v)?;
-                    }
-                }
-                self.out.allocs_from += 1;
-                self.out.shifts.push(ShiftSite {
-                    dims: dims.clone(),
-                    axis: dim as usize - 1,
-                    shift,
-                    eoshift: name == "eoshift",
-                });
-                self.out.array_reads += 1; // shifted result read back
-                Ok(SVal::Array(dims))
-            }
-            other => Err(PlanError::Malformed(format!("unknown primitive '{other}'"))),
-        }
-    }
-}
-
-/// Whether evaluating a value can issue machine calls (array traffic or
-/// runtime intrinsics) — the test that decides if an unknown guard is
-/// tolerable.
-fn touches_machine(v: &Value) -> bool {
-    let mut touches = false;
-    v.walk(&mut |x| {
-        if matches!(x, Value::AVar(..) | Value::FcnCall(..)) {
-            touches = true;
-        }
-    });
-    touches
 }

@@ -7,11 +7,12 @@
 //! (paper §5.1)
 
 use f90y_nir::typecheck::Ctx;
-use f90y_nir::{FieldAction, Imp, LValue, NirError, Value};
+use f90y_nir::{Const, FieldAction, Imp, LValue, NirError, Value};
 use f90y_transform::program::{classify_stmt, ProgramBody, StmtClass};
 
 use crate::pe::{self, PeOptions};
-use crate::{BackendError, CompiledProgram, HostStmt, NodeBlock};
+use crate::tape::Lowering;
+use crate::{BackendError, CompiledProgram, NodeBlock};
 
 /// Partition an optimized program and compile its computation blocks.
 ///
@@ -34,163 +35,137 @@ pub fn split_with_options(
 ) -> Result<CompiledProgram, BackendError> {
     let body = ProgramBody::decompose(optimized)?;
     let mut ctx = body.ctx()?;
-    let mut blocks = Vec::new();
-    let host = split_stmts(&body.stmts, &mut ctx, &mut blocks, options)?;
+    let mut split = Split {
+        blocks: Vec::new(),
+        options,
+    };
+    let mut host = Lowering::new(&body.binders)?;
+    split.stmts(&body.stmts, &mut ctx, &mut host)?;
     Ok(CompiledProgram {
-        blocks,
-        binders: body.binders,
-        host,
+        blocks: split.blocks,
+        host: host.finish(),
     })
 }
 
-fn split_stmts(
-    stmts: &[Imp],
-    ctx: &mut Ctx,
-    blocks: &mut Vec<NodeBlock>,
+/// The node half of the partition, growing as the walk cuts blocks out;
+/// the host half goes statement by statement to a [`Lowering`].
+struct Split {
+    blocks: Vec<NodeBlock>,
     options: PeOptions,
-) -> Result<Vec<HostStmt>, BackendError> {
-    let mut out = Vec::with_capacity(stmts.len());
-    for stmt in stmts {
-        out.extend(split_stmt(stmt, ctx, blocks, options)?);
-    }
-    Ok(out)
 }
 
-fn split_stmt(
-    stmt: &Imp,
-    ctx: &mut Ctx,
-    blocks: &mut Vec<NodeBlock>,
-    options: PeOptions,
-) -> Result<Vec<HostStmt>, BackendError> {
-    match classify_stmt(stmt, ctx)? {
-        StmtClass::Compute(shape) => {
-            let Imp::Move(clauses) = stmt else {
-                unreachable!("computation phases are moves")
-            };
-            let name = format!("Pk{}vs1", blocks.len());
-            let compiled = pe::compile_block_with(&name, &shape, clauses, ctx, options)?;
-            let mut out = Vec::with_capacity(compiled.len());
-            for cb in compiled {
-                let index = blocks.len();
-                blocks.push(NodeBlock {
-                    index,
-                    shape: shape.clone(),
-                    clauses: cb.clauses,
-                    routine: cb.routine,
-                    array_params: cb.array_params,
-                    scalar_params: cb.scalar_params,
-                    stats: cb.stats,
-                });
-                out.push(HostStmt::Dispatch(index));
-            }
-            Ok(out)
-        }
-        StmtClass::Comm(_) => {
-            let Imp::Move(clauses) = stmt else {
-                unreachable!("communication phases are moves")
-            };
-            let [clause] = clauses.as_slice() else {
-                unreachable!("communication phases are single-clause")
-            };
-            let LValue::AVar(dst, FieldAction::Everywhere) = &clause.dst else {
-                unreachable!("communication targets are whole arrays")
-            };
-            let Value::FcnCall(name, args) = &clause.src else {
-                unreachable!("communication sources are intrinsic calls")
-            };
-            // Argument layouts (see lowering): cshift(array, shift, dim),
-            // eoshift(array, shift, dim[, boundary]).
-            let src_var = match &args[0].1 {
-                Value::AVar(v, FieldAction::Everywhere) => v.clone(),
-                // A composite argument the transformations could not
-                // materialise (e.g. typed under a DO binding): the host
-                // evaluates it through the runtime instead.
-                _ => return Ok(vec![HostStmt::HostMove(clauses.clone())]),
-            };
-            let shift = args
-                .get(1)
-                .map(|(_, v)| v.clone())
-                .ok_or_else(|| BackendError::Malformed("missing SHIFT".into()))?;
-            let dim = args
-                .get(2)
-                .map(|(_, v)| v.clone())
-                .unwrap_or(Value::Scalar(f90y_nir::Const::I32(1)));
-            let boundary = if name == "eoshift" {
-                Some(
-                    args.get(3)
-                        .map(|(_, v)| v.clone())
-                        .unwrap_or(Value::Scalar(f90y_nir::Const::F64(0.0))),
-                )
-            } else {
-                None
-            };
-            Ok(vec![HostStmt::Comm {
-                dst: dst.clone(),
-                src: src_var,
-                dim,
-                shift,
-                boundary,
-            }])
-        }
-        StmtClass::Host => match stmt {
-            Imp::Move(clauses) => Ok(vec![HostStmt::HostMove(clauses.clone())]),
-            Imp::Do(dom, shape, b) => {
-                let resolved = ctx.resolve(shape)?;
-                ctx.push_do(dom.clone(), resolved.clone());
-                let body = split_body(b, ctx, blocks, options);
-                ctx.pop_do();
-                Ok(vec![HostStmt::Do {
-                    dom: dom.clone(),
-                    shape: resolved,
-                    body: body?,
-                }])
-            }
-            Imp::While(cond, b) => Ok(vec![HostStmt::While {
-                cond: cond.clone(),
-                body: split_body(b, ctx, blocks, options)?,
-            }]),
-            Imp::IfThenElse(cond, t, e) => Ok(vec![HostStmt::If {
-                cond: cond.clone(),
-                then_body: split_body(t, ctx, blocks, options)?,
-                else_body: split_body(e, ctx, blocks, options)?,
-            }]),
-            Imp::WithDecl(d, b) => {
-                let mut inner = ctx.clone();
-                for (id, ty, _) in d.bindings() {
-                    let resolved = resolve_type(ty, &inner)?;
-                    inner.bind_var(id.clone(), resolved);
+impl Split {
+    fn stmts<'p>(
+        &mut self,
+        stmts: &'p [Imp],
+        ctx: &mut Ctx,
+        host: &mut Lowering<'p>,
+    ) -> Result<(), BackendError> {
+        stmts.iter().try_for_each(|s| self.stmt(s, ctx, host))
+    }
+
+    fn stmt<'p>(
+        &mut self,
+        stmt: &'p Imp,
+        ctx: &mut Ctx,
+        host: &mut Lowering<'p>,
+    ) -> Result<(), BackendError> {
+        match classify_stmt(stmt, ctx)? {
+            StmtClass::Compute(shape) => {
+                let Imp::Move(clauses) = stmt else {
+                    unreachable!("computation phases are moves")
+                };
+                let name = format!("Pk{}vs1", self.blocks.len());
+                let compiled = pe::compile_block_with(&name, &shape, clauses, ctx, self.options)?;
+                for cb in compiled {
+                    let block = NodeBlock {
+                        index: self.blocks.len(),
+                        shape: shape.clone(),
+                        clauses: cb.clauses,
+                        routine: cb.routine,
+                        array_params: cb.array_params,
+                        scalar_params: cb.scalar_params,
+                        stats: cb.stats,
+                    };
+                    host.dispatch(&block)?;
+                    self.blocks.push(block);
                 }
-                Ok(vec![HostStmt::WithDecl {
-                    decl: d.clone(),
-                    body: split_body(b, &mut inner, blocks, options)?,
-                }])
+                Ok(())
             }
-            Imp::WithDomain(name, shape, b) => {
-                let mut inner = ctx.clone();
-                inner.bind_domain(name.clone(), shape)?;
-                Ok(vec![HostStmt::WithDomain {
-                    name: name.clone(),
-                    shape: inner.resolve(shape)?,
-                    body: split_body(b, &mut inner, blocks, options)?,
-                }])
+            StmtClass::Comm(_) => {
+                let Imp::Move(clauses) = stmt else {
+                    unreachable!("communication phases are moves")
+                };
+                let [clause] = clauses.as_slice() else {
+                    unreachable!("communication phases are single-clause")
+                };
+                let LValue::AVar(dst, FieldAction::Everywhere) = &clause.dst else {
+                    unreachable!("communication targets are whole arrays")
+                };
+                let Value::FcnCall(name, args) = &clause.src else {
+                    unreachable!("communication sources are intrinsic calls")
+                };
+                // Argument layouts (see lowering): cshift(array, shift, dim),
+                // eoshift(array, shift, dim[, boundary]).
+                let Value::AVar(src, FieldAction::Everywhere) = &args[0].1 else {
+                    // A composite argument the transformations could not
+                    // materialise (e.g. typed under a DO binding): the host
+                    // evaluates it through the runtime instead.
+                    return host.host_move(clauses);
+                };
+                let arg = |k: usize| args.get(k).map(|(_, v)| v);
+                let shift =
+                    arg(1).ok_or_else(|| BackendError::Malformed("missing SHIFT".into()))?;
+                let dim = arg(2).unwrap_or(&Value::Scalar(Const::I32(1)));
+                let boundary =
+                    (name == "eoshift").then(|| arg(3).unwrap_or(&Value::Scalar(Const::F64(0.0))));
+                host.comm((dst, src), dim, shift, boundary)
             }
-            Imp::Sequentially(xs) | Imp::Concurrently(xs) => split_stmts(xs, ctx, blocks, options),
-            Imp::Program(b) => split_body(b, ctx, blocks, options),
-            Imp::Skip => Ok(vec![]),
-        },
+            StmtClass::Host => match stmt {
+                Imp::Move(clauses) => host.host_move(clauses),
+                Imp::Do(dom, shape, b) => {
+                    let resolved = ctx.resolve(shape)?;
+                    ctx.push_do(dom.clone(), resolved.clone());
+                    let done = host.do_loop(dom, &resolved, |host| self.body(b, ctx, host));
+                    ctx.pop_do();
+                    done
+                }
+                Imp::While(cond, b) => host.while_loop(cond, |host| self.body(b, ctx, host)),
+                Imp::IfThenElse(cond, t, e) => host.if_else(cond, |host, taken| {
+                    self.body(if taken { t } else { e }, ctx, host)
+                }),
+                Imp::WithDecl(d, b) => {
+                    let mut inner = ctx.clone();
+                    for (id, ty, _) in d.bindings() {
+                        let resolved = resolve_type(ty, &inner)?;
+                        inner.bind_var(id.clone(), resolved);
+                    }
+                    host.with_decl(d, |host| self.body(b, &mut inner, host))
+                }
+                Imp::WithDomain(name, shape, b) => {
+                    let mut inner = ctx.clone();
+                    inner.bind_domain(name.clone(), shape)?;
+                    let resolved = inner.resolve(shape)?;
+                    host.with_domain(name, resolved, |host| self.body(b, &mut inner, host))
+                }
+                Imp::Sequentially(xs) | Imp::Concurrently(xs) => self.stmts(xs, ctx, host),
+                Imp::Program(b) => self.body(b, ctx, host),
+                Imp::Skip => Ok(()),
+            },
+        }
     }
-}
 
-fn split_body(
-    b: &Imp,
-    ctx: &mut Ctx,
-    blocks: &mut Vec<NodeBlock>,
-    options: PeOptions,
-) -> Result<Vec<HostStmt>, BackendError> {
-    match b {
-        Imp::Sequentially(xs) => split_stmts(xs, ctx, blocks, options),
-        Imp::Skip => Ok(vec![]),
-        other => split_stmt(other, ctx, blocks, options),
+    fn body<'p>(
+        &mut self,
+        b: &'p Imp,
+        ctx: &mut Ctx,
+        host: &mut Lowering<'p>,
+    ) -> Result<(), BackendError> {
+        match b {
+            Imp::Sequentially(xs) => self.stmts(xs, ctx, host),
+            Imp::Skip => Ok(()),
+            other => self.stmt(other, ctx, host),
+        }
     }
 }
 
@@ -248,14 +223,18 @@ mod tests {
         ));
         let compiled = split(&p).unwrap();
         assert_eq!(compiled.blocks.len(), 2, "init block + in-loop block");
-        // Host: dispatch, then DO containing comm + dispatch.
-        assert!(matches!(compiled.host[0], HostStmt::Dispatch(0)));
-        match &compiled.host[1] {
-            HostStmt::Do { body, .. } => {
-                assert!(matches!(body[0], HostStmt::Comm { .. }));
-                assert!(matches!(body[1], HostStmt::Dispatch(1)));
-            }
-            other => panic!("expected DO, got {other:?}"),
-        }
+        // Host: two allocations, a dispatch, then a DO around comm +
+        // dispatch, then the finals.
+        use crate::tape::Op;
+        let ops = &compiled.host.ops;
+        assert!(matches!(ops[..2], [Op::Alloc(0, None), Op::Alloc(1, None)]));
+        assert!(matches!(ops[2], Op::Dispatch(0, ..)));
+        assert!(matches!(ops[3], Op::DoInit(0, 1, 3, 8)));
+        assert!(matches!(ops[4], Op::Charge(2)));
+        assert!(matches!(ops[5], Op::Shift(1, 0, ..)));
+        assert!(matches!(ops[6], Op::Dispatch(1, ..)));
+        assert!(matches!(ops[7], Op::DoNext(0, 3, 4)));
+        assert!(matches!(ops[8], Op::Leave(..)));
+        assert_eq!(ops.len(), 9);
     }
 }

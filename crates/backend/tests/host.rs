@@ -178,3 +178,53 @@ fn stats_isolate_per_run_when_machine_is_reused() {
     );
     assert_eq!(second - first, first, "equal work charges equal cycles");
 }
+
+/// What `backend::compile` refuses `optimized` with.
+fn refusal(optimized: &f90y_nir::Imp) -> String {
+    match f90y_backend::compile(optimized) {
+        Err(f90y_backend::BackendError::Malformed(why)) => why,
+        other => panic!("expected a Malformed refusal, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_literal_shift_dim_outside_the_rank_is_refused_at_lowering() {
+    // Every static check passes these; they used to fail only when run.
+    for (call, name) in [
+        ("CSHIFT(a, SHIFT=1, DIM=7)", "CSHIFT"),
+        ("EOSHIFT(a, SHIFT=1, DIM=2)", "EOSHIFT"),
+        ("CSHIFT(a, SHIFT=1, DIM=0)", "CSHIFT"),
+    ] {
+        let unit = f90y_frontend::parse(&format!("REAL a(8), b(8)\nb = {call}\n")).unwrap();
+        let nir = f90y_lowering::lower(&unit).expect("lowers");
+        let optimized = f90y_transform::optimize(&nir).expect("optimizes");
+        let why = refusal(&optimized);
+        assert!(why.starts_with(&format!("{name} DIM=")), "{why}");
+        assert!(
+            why.ends_with("is outside the rank of 'a' (rank 1)"),
+            "{why}"
+        );
+    }
+    // In range, and a DIM only the run knows, still compile.
+    compile("REAL a(8,8), b(8,8)\nb = CSHIFT(a, SHIFT=1, DIM=2)\n");
+    compile("REAL a(8,8), b(8,8)\nINTEGER k\nk = 2\nb = CSHIFT(a, SHIFT=1, DIM=k)\n");
+}
+
+#[test]
+fn a_subscript_count_that_is_not_the_rank_is_refused_at_lowering() {
+    use f90y_nir::build::*;
+    let with_a = |body| {
+        let decls = declset(vec![
+            decl("a", dfield(domain("s"), float64())),
+            decl("x", float64()),
+        ]);
+        program(with_domain("s", grid(&[4, 4]), with_decl(decls, body)))
+    };
+    let read = with_a(mv(svar_lv("x"), ld("a", subscript(vec![int(1)]))));
+    let write = with_a(mv(
+        avar("a", subscript(vec![int(1), int(2), int(3)])),
+        f64c(1.0),
+    ));
+    assert_eq!(refusal(&read), "'a' has rank 2 but is given 1 subscripts");
+    assert_eq!(refusal(&write), "'a' has rank 2 but is given 3 subscripts");
+}

@@ -54,7 +54,7 @@ fn cshift_chain_is_counted_with_geometry() {
     let mut axes: Vec<(usize, i64)> = p.shifts.iter().map(|s| (s.axis, s.shift)).collect();
     axes.sort_unstable();
     assert_eq!(axes, vec![(0, 1), (1, -1)]);
-    assert!(p.shifts.iter().all(|s| s.dims == vec![16, 16]));
+    assert!(p.shifts.iter().all(|s| *s.dims == [16, 16]));
 }
 
 #[test]
@@ -130,4 +130,56 @@ fn data_dependent_branch_is_an_honest_error() {
         Err(plan::PlanError::DataDependent(_)) => {}
         other => panic!("expected DataDependent, got {other:?}"),
     }
+}
+
+/// What a [`plan::PlanError::DataDependent`] names, for `compiled`.
+fn data_dependence(compiled: &f90y_backend::CompiledProgram) -> String {
+    match plan::profile(compiled) {
+        Err(plan::PlanError::DataDependent(what)) => what,
+        other => panic!("expected DataDependent, got {other:?}"),
+    }
+}
+
+#[test]
+fn data_dependence_names_the_offending_value() {
+    // An IF on a reduction result.
+    let branch = compile("REAL, ARRAY(8) :: A, B\nIF (SUM(A) > 0.0) THEN\nB = A\nEND IF\n");
+    assert_eq!(
+        data_dependence(&branch),
+        "IF condition is only known at run time"
+    );
+
+    // A shift distance read from an array.
+    let distance =
+        compile("REAL, ARRAY(8) :: A, B\nINTEGER, ARRAY(4) :: K\nB = CSHIFT(A, K(2), 1)\n");
+    assert_eq!(
+        data_dependence(&distance),
+        "CSHIFT SHIFT is only known at run time"
+    );
+
+    // An element write under a guard read from the machine: whether the
+    // write happens is the data's business.
+    use f90y_nir::build::*;
+    let first = || ld("a", subscript(vec![int(1)]));
+    let guarded = program(with_domain(
+        "s",
+        interval(1, 4),
+        with_decl(
+            decl("a", dfield(domain("s"), float64())),
+            mv_masked(
+                bin(f90y_nir::BinOp::Gt, first(), f64c(0.0)),
+                avar("a", subscript(vec![int(2)])),
+                f64c(1.0),
+            ),
+        ),
+    ));
+    let guarded = f90y_backend::compile(&guarded).expect("compiles");
+    assert_eq!(
+        data_dependence(&guarded),
+        "masked element write into 'a' guards machine traffic"
+    );
+    assert_eq!(
+        plan::profile(&guarded).unwrap_err().to_string(),
+        "data-dependent: masked element write into 'a' guards machine traffic"
+    );
 }

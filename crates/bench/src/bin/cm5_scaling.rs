@@ -224,25 +224,6 @@ fn host_sweep(title: &str, exe: &Executable, nodes: usize, check: &[&str]) {
     }
 }
 
-/// Count the runtime communication calls in a compiled host program.
-fn count_comm(stmts: &[f90y_backend::HostStmt]) -> usize {
-    use f90y_backend::HostStmt;
-    stmts
-        .iter()
-        .map(|s| match s {
-            HostStmt::Comm { .. } => 1,
-            HostStmt::Do { body, .. } | HostStmt::While { body, .. } => count_comm(body),
-            HostStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => count_comm(then_body) + count_comm(else_body),
-            HostStmt::WithDecl { body, .. } | HostStmt::WithDomain { body, .. } => count_comm(body),
-            _ => 0,
-        })
-        .sum()
-}
-
 /// The comm-cse ablation: the same workload with and without the
 /// hoist-deduplication pass, comparing communication calls (static,
 /// per host program) and messages/halo exchanges (dynamic, on the
@@ -258,8 +239,8 @@ fn cse_ablation(title: &str, src: &str, check: &[&str]) {
     println!(
         "  comm calls in the host program: {} without comm-cse, {} with \
          ({} hoists merged, {} temps deleted)",
-        count_comm(&without_cse.compiled.host),
-        count_comm(&with_cse.compiled.host),
+        without_cse.compiled.host.counts.comms,
+        with_cse.compiled.host.counts.comms,
         with_cse.report.comm_merged,
         with_cse.report.temps_deleted,
     );

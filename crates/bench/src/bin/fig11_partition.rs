@@ -7,7 +7,6 @@
 //! exist naively and after blocking, and how the CM2/NIR compiler then
 //! cuts the blocked program into node procedures and host code.
 
-use f90y_backend::HostStmt;
 use f90y_bench::compile;
 use f90y_core::{Pipeline, Target};
 
@@ -30,45 +29,6 @@ a2 = a2 + t
     )
 }
 
-fn count_host(stmts: &[HostStmt]) -> (usize, usize, usize) {
-    let mut dispatch = 0;
-    let mut comm = 0;
-    let mut host = 0;
-    for s in stmts {
-        match s {
-            HostStmt::Dispatch(_) => dispatch += 1,
-            HostStmt::Comm { .. } => comm += 1,
-            HostStmt::Do { body, .. } | HostStmt::While { body, .. } => {
-                let (d, c, h) = count_host(body);
-                dispatch += d;
-                comm += c;
-                host += h + 1;
-            }
-            HostStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                for b in [then_body, else_body] {
-                    let (d, c, h) = count_host(b);
-                    dispatch += d;
-                    comm += c;
-                    host += h;
-                }
-                host += 1;
-            }
-            HostStmt::WithDecl { body, .. } | HostStmt::WithDomain { body, .. } => {
-                let (d, c, h) = count_host(body);
-                dispatch += d;
-                comm += c;
-                host += h;
-            }
-            HostStmt::HostMove(_) => host += 1,
-        }
-    }
-    (dispatch, comm, host)
-}
-
 fn main() {
     let src = source(4096, 64);
     println!("FIGURE 11 — naive, blocked, and partitioned program\n");
@@ -86,7 +46,8 @@ fn main() {
         blocked.report.clauses_after,
     );
 
-    let (d, c, h) = count_host(&blocked.compiled.host);
+    let counts = blocked.compiled.host.counts;
+    let (d, c, h) = (counts.dispatches, counts.comms, counts.control());
     println!("\npartitioned (CM2/NIR split of the blocked program):");
     println!(
         "  node side: {} PEAC procedures",

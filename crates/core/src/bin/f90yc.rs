@@ -579,9 +579,7 @@ fn main() -> ExitCode {
             return finish(&tel, &opts);
         }
         Some("host") => {
-            for (i, s) in exe.compiled.host.iter().enumerate() {
-                println!("{i:4}: {s:?}");
-            }
+            print!("{}", exe.compiled.host);
             return finish(&tel, &opts);
         }
         _ => {}

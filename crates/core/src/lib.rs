@@ -58,6 +58,7 @@ pub mod workloads;
 
 use std::error::Error;
 use std::fmt;
+use std::sync::OnceLock;
 
 pub use f90y_accel::{Accel, AccelConfig, AccelStats};
 pub use f90y_analysis::{
@@ -434,7 +435,7 @@ impl Compiler {
             tel.count("backend.pe.instructions", pe.instructions as u64);
             tel.gauge_max("backend.pe.vreg_pressure", pe.vregs_used as f64);
             tel.count("backend.node_blocks", compiled.blocks.len() as u64);
-            tel.count("backend.host_stmts", host_stmt_count(&compiled.host) as u64);
+            tel.count("backend.host_stmts", compiled.host.counts.total() as u64);
         }
 
         tel.finish(whole);
@@ -445,6 +446,7 @@ impl Compiler {
             report,
             pass_reports,
             compiled,
+            profile: OnceLock::new(),
         })
     }
 }
@@ -480,27 +482,6 @@ fn ast_decl_count(file: &SourceFile) -> usize {
     file.program.decls.len()
 }
 
-/// Host-program statements, counted through every nesting level — the
-/// host half of the paper's host/node split.
-fn host_stmt_count(stmts: &[f90y_backend::HostStmt]) -> usize {
-    use f90y_backend::HostStmt;
-    stmts
-        .iter()
-        .map(|s| match s {
-            HostStmt::Do { body, .. }
-            | HostStmt::While { body, .. }
-            | HostStmt::WithDecl { body, .. }
-            | HostStmt::WithDomain { body, .. } => 1 + host_stmt_count(body),
-            HostStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => 1 + host_stmt_count(then_body) + host_stmt_count(else_body),
-            HostStmt::Dispatch(_) | HostStmt::Comm { .. } | HostStmt::HostMove(_) => 1,
-        })
-        .sum()
-}
-
 /// A compiled program plus everything the harnesses want to inspect.
 #[derive(Debug)]
 pub struct Executable {
@@ -517,6 +498,9 @@ pub struct Executable {
     pub pass_reports: PipelineReport,
     /// The node routines and host program.
     pub compiled: CompiledProgram,
+    /// The static profile, computed on first use (see
+    /// [`Executable::static_profile`]).
+    profile: OnceLock<Result<StaticProfile, PlanError>>,
 }
 
 impl Executable {

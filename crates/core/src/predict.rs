@@ -163,11 +163,18 @@ impl Executable {
     /// running. Fails honestly with [`PlanError::DataDependent`] when
     /// control flow reads machine data, rather than guessing.
     ///
+    /// The walk unrolls every loop of the host program, so it runs once,
+    /// on first use, and the executable keeps the answer: every later
+    /// call (and every [`Executable::predict`]) is a lookup.
+    ///
     /// # Errors
     ///
     /// [`PlanError`] when no exact static plan exists.
-    pub fn static_profile(&self) -> Result<StaticProfile, PlanError> {
-        f90y_backend::plan::profile(&self.compiled)
+    pub fn static_profile(&self) -> Result<&StaticProfile, PlanError> {
+        let memo = self
+            .profile
+            .get_or_init(|| f90y_backend::plan::profile(&self.compiled));
+        memo.as_ref().map_err(PlanError::clone)
     }
 
     /// Predict the machine counters of a run on `target` — the static
@@ -177,7 +184,7 @@ impl Executable {
     ///
     /// [`PlanError`] when no exact static plan exists.
     pub fn predict(&self, target: Target) -> Result<TargetPrediction, PlanError> {
-        Ok(fold(&self.static_profile()?, target))
+        Ok(fold(self.static_profile()?, target))
     }
 }
 

@@ -310,27 +310,8 @@ mod tests {
         );
 
         // Strictly fewer runtime communication calls in the partition.
-        fn count_comm(stmts: &[f90y_backend::HostStmt]) -> usize {
-            use f90y_backend::HostStmt;
-            stmts
-                .iter()
-                .map(|s| match s {
-                    HostStmt::Comm { .. } => 1,
-                    HostStmt::Do { body, .. } | HostStmt::While { body, .. } => count_comm(body),
-                    HostStmt::If {
-                        then_body,
-                        else_body,
-                        ..
-                    } => count_comm(then_body) + count_comm(else_body),
-                    HostStmt::WithDecl { body, .. } | HostStmt::WithDomain { body, .. } => {
-                        count_comm(body)
-                    }
-                    _ => 0,
-                })
-                .sum()
-        }
-        let comm_with = count_comm(&with_cse.compiled.host);
-        let comm_without = count_comm(&without_cse.compiled.host);
+        let comm_with = with_cse.compiled.host.counts.comms;
+        let comm_without = without_cse.compiled.host.counts.comms;
         assert!(
             comm_with < comm_without,
             "comm-cse must cut communication phases: {comm_with} vs {comm_without}"

@@ -676,7 +676,8 @@ impl Evaluator {
     }
 }
 
-fn const_to_scalar(c: Const) -> Scalar {
+/// The runtime scalar a literal denotes.
+pub fn const_to_scalar(c: Const) -> Scalar {
     match c {
         Const::I32(v) => Scalar::I32(v),
         Const::Bool(v) => Scalar::Bool(v),

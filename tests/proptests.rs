@@ -7,6 +7,8 @@
 //! pipelines — exercising lowering, every transformation, the PE
 //! compiler's register allocator, and the machine in one sweep.
 
+mod call_log;
+
 use proptest::prelude::*;
 
 use f90y_core::{Compiler, Pipeline, Target};
@@ -357,5 +359,18 @@ proptest! {
             "syntactic scan found dead temps the liveness analysis kept: {:?}\n{}",
             syntactic.difference(&faint).collect::<Vec<_>>(), src
         );
+    }
+
+    /// The static profile of a random program is the call log of a real
+    /// run of it, site for site (DESIGN.md §16): both are the one loop
+    /// over the host tape, and this holds them together.
+    #[test]
+    fn static_profile_is_the_call_log_of_a_real_run(src in arb_program()) {
+        for pipeline in [Pipeline::F90y, Pipeline::Cmf] {
+            let Ok(exe) = Compiler::new(pipeline).compile(&src) else {
+                return Ok(()); // legitimately rejected, as above
+            };
+            call_log::assert_profile_is_the_call_log(&src, &exe.compiled);
+        }
     }
 }

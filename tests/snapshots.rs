@@ -1,10 +1,13 @@
-//! Golden-file snapshot tests for the `--emit-after` NIR dumps.
+//! Golden-file snapshot tests for the `--emit-after` NIR dumps and the
+//! `--emit host` tape listings.
 //!
 //! Each paper figure compiles with `DumpPoint::All`; the dump captured
 //! after the *last* run of every pass must match the checked-in file
-//! under `tests/snapshots/`. The files are what a user sees from
-//! `f90yc --emit-after=<pass>`, so a diff here means the user-visible
-//! IR changed — which is sometimes intended: regenerate with
+//! under `tests/snapshots/`, and so must the listing of the host tape
+//! the backend lowers (`<tag>.host`). The files are what a user sees
+//! from `f90yc --emit-after=<pass>` and `f90yc --emit host`, so a diff
+//! here means the user-visible IR changed — which is sometimes
+//! intended: regenerate with
 //!
 //! ```text
 //! F90Y_UPDATE_SNAPSHOTS=1 cargo test -p f90y-core --test snapshots
@@ -15,7 +18,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use f90y_core::workloads::{fig12_source, fig9_source};
+use f90y_core::workloads::{fig12_source, fig9_source, swe_source};
 use f90y_core::{Compiler, DumpPoint, Pipeline};
 
 fn snapshot_dir() -> PathBuf {
@@ -78,6 +81,48 @@ fn check_program(tag: &str, src: &str) {
             path.display()
         );
     }
+}
+
+/// Check (or regenerate) the golden listing of `src`'s host tape.
+fn check_host_tape(tag: &str, src: &str) {
+    let listing = |exe: f90y_core::Executable| exe.compiled.host.to_string();
+    let compile = || {
+        Compiler::new(Pipeline::F90y)
+            .compile(src)
+            .expect("compiles")
+    };
+    let tape = listing(compile());
+    assert_eq!(
+        tape,
+        listing(compile()),
+        "{tag}: two compiles of one source must list identical bytes"
+    );
+    let path = snapshot_dir().join(format!("{tag}.host"));
+    if update_requested() {
+        fs::write(&path, tape).expect("write snapshot");
+        return;
+    }
+    let golden = fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "{tag}: missing golden file {} ({e}); run with \
+             F90Y_UPDATE_SNAPSHOTS=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        golden,
+        tape,
+        "{tag}: the host tape diverged from {} — if the change is \
+         intended, regenerate with F90Y_UPDATE_SNAPSHOTS=1",
+        path.display()
+    );
+}
+
+#[test]
+fn host_tape_listings_match_golden_files() {
+    check_host_tape("fig9", fig9_source());
+    check_host_tape("fig12", &fig12_source(8));
+    check_host_tape("swe32x3", &swe_source(32, 3));
 }
 
 #[test]
